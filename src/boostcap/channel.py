@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrityError, NotAChannelError, RangeError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, geometric_refinement, integrate
-from .special_functions import _elliptic_ked, elliptic, erf_family, erfi, hyp2f2_11_52_3
+from .special_functions import _agm_ked, _elliptic_ked, erf_family, erfi, hyp2f2_11_52_3
 from .wavepacket import PacketFrame, kernel_values, theta_breakpoints, theta_c
 
 EULER_GAMMA = 0.5772156649015328606
@@ -199,7 +199,7 @@ def phi_profile(kind: str, theta: float, cfg: QuadratureConfig = DEFAULT_CONFIG)
     return 4.0 * val
 
 
-def phi_profile_closed(kind: str, theta: float) -> float:
+def phi_profile_closed(kind: str, theta: float | np.ndarray) -> float | np.ndarray:
     """Closed form of :func:`phi_profile` via complete elliptic integrals.
 
     With u = sin^2 t, c = cos t and parameter m = (u/(2-u))^2:
@@ -210,23 +210,28 @@ def phi_profile_closed(kind: str, theta: float) -> float:
         g5:      (2/(2-u)) [2 c D(m) + (1+c^2)(K(m) - D(m))]
         g6:      -4 c K(m)/(2-u)
 
-    where D(m) = (K-E)/m is evaluated cancellation-free.  Logarithmically
-    divergent (integrably) at t = pi/2 for g5 and g6.
+    where D(m) = (K-E)/m is evaluated cancellation-free and 1 - m =
+    4 c^2/(1+c^2)^2 is passed exactly.  Logarithmically divergent (integrably)
+    at t = pi/2 for g5 and g6.  Works elementwise on arrays of angles.
     """
-    if kind == "g1_cos" or kind == "g3_sin":
-        return math.pi
-    c = math.cos(theta)
-    if kind == "g2_cos" or kind == "g4_sin":
-        v = 4.0 * math.pi * c / (1.0 + c) ** 2 if c > 0.0 else 0.0
-        return v if kind == "g2_cos" else -v
-    u = math.sin(theta) ** 2
-    m = (u / (2.0 - u)) ** 2
-    K, _E, D = _elliptic_ked(m)
-    if kind == "g6_sqrt":
-        return -4.0 * c * K / (2.0 - u)
-    if kind == "g5_sqrt":
-        return (2.0 / (2.0 - u)) * (2.0 * c * D + (1.0 + c * c) * (K - D))
-    raise DomainError(f"unknown profile kind {kind!r}")
+    g2, g5, g6 = _closed_rows(theta)
+    flat = math.pi + 0.0 * g2
+    profiles = {"g1_cos": flat, "g2_cos": g2, "g3_sin": flat, "g4_sin": -g2,
+                "g5_sqrt": g5, "g6_sqrt": g6}
+    if kind not in profiles:
+        raise DomainError(f"unknown profile kind {kind!r}")
+    return profiles[kind]
+
+
+def _closed_rows(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The g2, g5 and g6 closed profiles that the eigenvalues read; one AGM."""
+    c = np.cos(theta)
+    u = np.sin(theta) ** 2
+    c_pos = np.maximum(c, 0.0)
+    K, _E, D = _agm_ked((u / (2.0 - u)) ** 2, 4.0 * c * c / (1.0 + c * c) ** 2)
+    return (4.0 * math.pi * c_pos / (1.0 + c_pos) ** 2,
+            (2.0 / (2.0 - u)) * (2.0 * c * D + (1.0 + c * c) * (K - D)),
+            -4.0 * c * K / (2.0 - u))
 
 
 def _cfg_key(cfg: QuadratureConfig) -> tuple:
@@ -235,24 +240,31 @@ def _cfg_key(cfg: QuadratureConfig) -> tuple:
 
 @functools.lru_cache(maxsize=512)
 def _frame_integrals(gamma: float, zeta: float, cfg_key: tuple, method: str) -> dict:
-    """Kernel-weighted angular integrals of all six profiles, plus N."""
+    """Kernel-weighted angular integrals of the profiles, plus N.
+
+    The fast path integrates K (g2, g5, g6, 1) in one vector-valued pass, so
+    N's quadrature error correlates with that of the numerators.
+    """
     cfg = QuadratureConfig(*cfg_key)
     frame = PacketFrame(gamma, zeta)
     tc = theta_c(zeta)
     breaks = theta_breakpoints(frame)
+    if method == "closed_profile":
+        def rows(ts: np.ndarray) -> np.ndarray:
+            return kernel_values(ts, frame) * np.array([*_closed_rows(ts), np.ones_like(ts)])
+
+        vals, _ = integrate(rows, 0.0, tc, cfg, breakpoints=breaks)
+        g2, g5, g6, n_val = vals.tolist()
+        return {"g2_cos": g2, "g5_sqrt": g5, "g6_sqrt": g6, "norm": 2.0 * math.pi * n_val}
+    if method != "quadrature":
+        raise DomainError(f"unknown lambda method {method!r}")
+
     # The azimuthal integrals sit inside a kernel-weighted polar integral, so
     # their absolute error enters the result damped by ~1/pi; an absolute
     # floor of 1e-10 keeps the error estimator off its roundoff stall in the
     # near-singular layer at t = pi/2 without moving any stated tolerance.
     inner_cfg = QuadratureConfig(max(cfg.abs_tol, 1e-10), cfg.rel_tol,
                                  cfg.max_subdivisions)
-    if method == "quadrature":
-        profile = lambda kind, t: phi_profile(kind, t, inner_cfg)  # noqa: E731
-    elif method == "closed_profile":
-        profile = lambda kind, t: phi_profile_closed(kind, t)  # noqa: E731
-    else:
-        raise DomainError(f"unknown lambda method {method!r}")
-
     out = {}
     for kind in PROFILE_KINDS:
         def outer(ts: np.ndarray, kind=kind) -> np.ndarray:
@@ -260,7 +272,7 @@ def _frame_integrals(gamma: float, zeta: float, cfg_key: tuple, method: str) -> 
             vals = np.zeros_like(kv)
             live = kv > 0.0
             for i in np.nonzero(live)[0]:
-                vals[i] = kv[i] * profile(kind, float(ts[i]))
+                vals[i] = kv[i] * phi_profile(kind, float(ts[i]), inner_cfg)
             return vals
 
         out[kind], _ = integrate(outer, 0.0, tc, cfg, breakpoints=breaks)
@@ -457,40 +469,30 @@ def _q_polynomials(s: float) -> tuple[float, float, float, float]:
 def _kappa_integrand_q(s: float) -> float:
     """Rational-coefficient elliptic combination; 1/s^2 poles cancel pairwise."""
     q1, q2, q3, q4 = _q_polynomials(s)
-    em = elliptic(-s * s / (4.0 * (1.0 + s)))
-    ep = elliptic((s / (2.0 + s)) ** 2)
-    return q1 * em.E + q2 * em.K + q3 * ep.E + q4 * ep.K
+    km, em, _ = _elliptic_ked(-s * s / (4.0 * (1.0 + s)))
+    kp, ep, _ = _elliptic_ked((s / (2.0 + s)) ** 2)
+    return q1 * em + q2 * km + q3 * ep + q4 * kp
 
 
-def _kappa_integrand_stable(s: float) -> float:
+def _kappa_integrand(s: float | np.ndarray) -> float | np.ndarray:
     """Pole-free regrouping: 2 K/(1+r)^2 + (2+s) E/(r (1+r)^2), r = sqrt(1+s)."""
-    r = math.sqrt(1.0 + s)
-    ep = elliptic((s / (2.0 + s)) ** 2)
-    return 2.0 * ep.K / (1.0 + r) ** 2 + (2.0 + s) * ep.E / (r * (1.0 + r) ** 2)
+    r = np.sqrt(1.0 + s)
+    K, E, _ = _agm_ked((s / (2.0 + s)) ** 2, 4.0 * (1.0 + s) / (2.0 + s) ** 2)
+    return 2.0 * K / (1.0 + r) ** 2 + (2.0 + s) * E / (r * (1.0 + r) ** 2)
 
 
-def _iota_integrand(s: float) -> float:
+def _iota_integrand(s: float | np.ndarray) -> float | np.ndarray:
     """2 K((s/(2+s))^2)/(2+s), equivalently K(-s^2/(4(1+s)))/sqrt(1+s)."""
-    if s == 0.0:
-        return 0.5 * math.pi
-    return 2.0 * elliptic((s / (2.0 + s)) ** 2).K / (2.0 + s)
+    K, _, _ = _agm_ked((s / (2.0 + s)) ** 2, 4.0 * (1.0 + s) / (2.0 + s) ** 2)
+    return 2.0 * K / (2.0 + s)
 
 
-_Q_SWITCH = 0.05
 _Q_CHECKPOINTS = (0.08, 0.4, 2.0)
-
-
-def _kappa_integrand(s: float) -> float:
-    if s == 0.0:
-        return 0.5 * math.pi
-    if s < _Q_SWITCH:
-        return _kappa_integrand_stable(s)
-    return _kappa_integrand_q(s)
 
 
 def _check_pole_cancellation() -> None:
     for s in _Q_CHECKPOINTS:
-        a, b = _kappa_integrand_q(s), _kappa_integrand_stable(s)
+        a, b = _kappa_integrand_q(s), _kappa_integrand(s)
         if abs(a - b) > 1e-9 * abs(b):
             raise IntegrityError(
                 f"pole cancellation failure in the elliptic moment integrand at s={s}: "
@@ -520,10 +522,8 @@ def series_coeffs(kind: str, n: int, L: float,
     else:
         base = _iota_integrand
 
-    def f(ss: np.ndarray) -> np.ndarray:
-        return np.array([s ** n * base(float(s)) for s in ss])
-
-    val, _ = integrate(f, 0.0, L, cfg, breakpoints=[min(1.0, 0.5 * L)])
+    val, _ = integrate(lambda ss: ss ** n * base(ss), 0.0, L, cfg,
+                       breakpoints=[min(1.0, 0.5 * L)])
     return ((-1.0) ** n / math.factorial(n)) * val
 
 

@@ -19,9 +19,7 @@ import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
-from . import __version__, lorentz
+from . import __version__
 from .capacity import boost_threshold, capacity_report, gamma_threshold
 from .channel import PacketFrame, lambda_numeric, lambda_probs
 from .errors import (BoostcapError, ConvergenceError, DomainError,
@@ -29,7 +27,7 @@ from .errors import (BoostcapError, ConvergenceError, DomainError,
 from .sweep import (SweepSpec, check_no_nan, load_config_file, make_manifest,
                     render_csv, resolve_quadrature_config, run_sweep,
                     write_csv, write_json, write_svg)
-from .verify import run_verify
+from .verify import little_group_worst, run_verify
 from .wavepacket import normalization
 
 _USAGE_ERRORS = (DomainError, RangeError, PreconditionError)
@@ -172,28 +170,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_wigner_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    worst = {"wigner_angle": 0.0, "a2": 0.0, "a1_vs_theory": 0.0,
-             "reconstruction": 0.0, "fixes_standard_vector": 0.0}
-    for _ in range(args.samples):
-        z = rng.uniform(-3, 3)
-        th = rng.uniform(0.01, math.pi - 0.01)
-        ph = rng.uniform(0, 2 * math.pi)
-        w = rng.uniform(0.2, 5.0)
-        p = lorentz.null_momentum(w, th, ph)
-        boost = lorentz.boost_z(z)
-        dec = lorentz.little_group(boost, p)
-        a1_theory = (math.sinh(z) * math.sin(th)
-                     / (w * (math.cosh(z) - math.sinh(z) * math.cos(th))))
-        wmat = (np.linalg.inv(lorentz.standard_boost(boost @ p))
-                @ boost @ lorentz.standard_boost(p))
-        fix = float(np.abs(wmat @ lorentz.STANDARD_MOMENTUM
-                           - lorentz.STANDARD_MOMENTUM).max())
-        worst["wigner_angle"] = max(worst["wigner_angle"], abs(dec.wigner_angle))
-        worst["a2"] = max(worst["a2"], abs(dec.a2))
-        worst["a1_vs_theory"] = max(worst["a1_vs_theory"], abs(dec.a1 - a1_theory))
-        worst["reconstruction"] = max(worst["reconstruction"], dec.residual)
-        worst["fixes_standard_vector"] = max(worst["fixes_standard_vector"], fix)
+    worst = little_group_worst(args.samples, args.seed)
     passed = all(v <= 1e-10 for v in worst.values())
     _emit({"samples": args.samples, "seed": args.seed, "tolerance": 1e-10,
            "worst": worst, "passed": passed})

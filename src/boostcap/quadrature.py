@@ -2,10 +2,10 @@
 
 A 7-15 pair is applied on a worklist of intervals; the interval with the
 largest error estimate is bisected until the global estimate meets the
-requested tolerance.  Integrands receive a numpy array of abscissae and must
-return an array of the same shape, so a single subdivision costs one
-vectorized call.  Splitting order is a pure function of the estimates, which
-makes repeated runs bit-identical.
+requested tolerance.  Integrands receive a numpy array of n abscissae and
+return an array of shape (n,), or (k, n) for k integrals over one partition,
+so a single subdivision costs one vectorized call.  Splitting order is a pure
+function of the estimates, which makes repeated runs bit-identical.
 """
 
 from __future__ import annotations
@@ -83,15 +83,16 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], lows: np.ndarray, highs: np.nda
     half = 0.5 * (highs - lows)
     mid = 0.5 * (highs + lows)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    fx = np.asarray(f(x.ravel()), dtype=float)
+    fx = fx.reshape(fx.shape[:-1] + x.shape)
     if not np.all(np.isfinite(fx)):
-        bad = x.ravel()[~np.isfinite(fx.ravel())][0]
+        bad = np.broadcast_to(x, fx.shape)[~np.isfinite(fx)][0]
         raise DomainError(f"integrand returned a non-finite value at x={bad!r}")
     resk = half * (fx @ _WK)
     resg = half * (fx @ _WG_FULL)
     resabs = np.abs(half) * (np.abs(fx) @ _WK)
     mean = resk / (highs - lows)
-    resasc = np.abs(half) * (np.abs(fx - mean[:, None]) @ _WK)
+    resasc = np.abs(half) * (np.abs(fx - mean[..., None]) @ _WK)
     err = np.abs(resk - resg)
     scale = np.ones_like(err)
     nz = (resasc != 0) & (err != 0)
@@ -99,7 +100,7 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], lows: np.ndarray, highs: np.nda
     err = np.where(nz, resasc * scale, err)
     floor = resabs > _TINY / (50.0 * _EPS)
     err[floor] = np.maximum(err[floor], 50.0 * _EPS * resabs[floor])
-    return resk, err
+    return resk.T, err.T                # indexed by interval first
 
 
 def integrate(
@@ -108,13 +109,14 @@ def integrate(
     b: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     breakpoints: Sequence[float] | None = None,
-) -> tuple[float, float]:
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Integrate a vectorized integrand over [a, b].
 
     ``breakpoints`` seeds the initial partition (known kinks, near-singular
     layers); the adaptive loop refines from there.  Returns the estimate and
-    an error bound.  Raises :class:`ConvergenceError` when the subdivision
-    budget is exhausted before the tolerance is met.
+    an error bound, as arrays of shape (k,) for k components, each of which
+    must meet the tolerance.  Raises :class:`ConvergenceError` when the
+    subdivision budget is exhausted before the tolerance is met.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integration endpoints must be finite")
@@ -130,26 +132,36 @@ def integrate(
     lows = np.array(edges[:-1])
     highs = np.array(edges[1:])
     vals, errs = _gk15(f, lows, highs)
+    if vals.ndim == 1:
+        priority = lambda e: e  # noqa: E731
+        within_tol = lambda t, e: e <= max(cfg.abs_tol, cfg.rel_tol * abs(t))  # noqa: E731
+        fsum = math.fsum
+    else:
+        # components differ in scale, so an interval ranks by its largest
+        # error relative to that component's tolerance after the first pass
+        weight = 1.0 / np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(vals.sum(axis=0)))
+        priority = lambda e: (e * weight).max(axis=1)  # noqa: E731
+        within_tol = lambda t, e: bool(np.all(  # noqa: E731
+            e <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(t))))
+        fsum = lambda parts: np.array([math.fsum(c) for c in zip(*parts)])  # noqa: E731
 
-    # (-error, left endpoint) ordering makes the splitting sequence unique.
-    heap = [(-errs[i], lows[i], highs[i], vals[i]) for i in range(len(lows))]
+    # (-priority, left endpoint) ordering makes the splitting sequence unique.
+    heap = list(zip(-priority(errs), lows, highs, vals, errs))
     heapq.heapify(heap)
-    total = float(np.sum(vals))
-    total_err = float(np.sum(errs))
+    total = vals.sum(axis=0)
+    total_err = errs.sum(axis=0)
     n_sub = len(heap)
 
-    def resum() -> tuple[float, float]:
+    def resum():
         # exact re-sum in endpoint order; the running accumulators can lose
         # precision when a transient spike interval passes through them
         items = sorted(heap, key=lambda t: t[1])
-        return (math.fsum(t[3] for t in items),
-                math.fsum(-t[0] for t in items))
+        return fsum([t[3] for t in items]), fsum([t[4] for t in items])
 
     while True:
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if total_err <= tol:
+        if within_tol(total, total_err):
             total, total_err = resum()
-            if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+            if within_tol(total, total_err):
                 break
             continue
         if n_sub >= cfg.max_subdivisions:
@@ -157,23 +169,24 @@ def integrate(
             raise ConvergenceError(
                 f"quadrature did not converge within {cfg.max_subdivisions} subdivisions",
                 estimate=total, error_bound=total_err)
-        neg_err, lo, hi, val = heapq.heappop(heap)
+        neg_key, lo, hi, val, err = heapq.heappop(heap)
         m = 0.5 * (lo + hi)
-        if neg_err == 0.0:
+        if neg_key == 0.0:
             # only unsplittable or converged intervals remain
-            heapq.heappush(heap, (neg_err, lo, hi, val))
+            heapq.heappush(heap, (neg_key, lo, hi, val, err))
             total, total_err = resum()
             break
         if m <= lo or m >= hi:
             # interval at floating point resolution: accept its estimate
-            heapq.heappush(heap, (0.0, lo, hi, val))
-            total_err += neg_err  # remove its error from the budget
+            heapq.heappush(heap, (0.0, lo, hi, val, 0.0 * err))
+            total_err -= err  # remove its error from the budget
             continue
         v2, e2 = _gk15(f, np.array([lo, m]), np.array([m, hi]))
-        total += float(v2.sum()) - val
-        total_err += float(e2.sum()) + neg_err
-        heapq.heappush(heap, (-e2[0], lo, m, v2[0]))
-        heapq.heappush(heap, (-e2[1], m, hi, v2[1]))
+        k2 = priority(e2)
+        total += v2.sum(axis=0) - val
+        total_err += e2.sum(axis=0) - err
+        heapq.heappush(heap, (-k2[0], lo, m, v2[0], e2[0]))
+        heapq.heappush(heap, (-k2[1], m, hi, v2[1], e2[1]))
         n_sub += 1
 
     return total, total_err

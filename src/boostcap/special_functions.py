@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._ddouble import dd_add, dd_div_f, dd_mul_f, two_prod
 from .errors import ConvergenceError, DomainError, RangeError
 
@@ -154,29 +156,30 @@ def erfi(x: float) -> float:
     return (_TWO_OVER_SQRT_PI[0] + _TWO_OVER_SQRT_PI[1]) * s
 
 
-def _agm_ked(m: float, one_minus_m: float | None = None) -> tuple[float, float, float]:
+def _agm_ked(m: float | np.ndarray, one_minus_m: float | np.ndarray | None = None) -> tuple:
     """(K, E, (K-E)/m) for parameter 0 <= m < 1 via the AGM.
 
     The third value is formed from the AGM correction sum directly, so it
     stays fully accurate as m -> 0 where the naive difference K - E loses
     all significance.  ``one_minus_m`` lets callers supply the complement
-    exactly when m itself is the rounded end of a cancellation.
+    exactly when m itself is the rounded end of a cancellation.  Works
+    elementwise on arrays; iteration stops once every element has converged.
     """
     a = 1.0
-    b = math.sqrt(1.0 - m if one_minus_m is None else one_minus_m)
+    b = np.sqrt(1.0 - m if one_minus_m is None else one_minus_m)
     c2 = m                              # c_0^2, exact
     c2_scaled = 0.0                     # sum_{n>=1} 2^(n-1) c_n^2
     pow2 = 1.0
     for _ in range(60):
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
         c2 = c2 * c2 / (16.0 * a * a)   # c_n = c_{n-1}^2 / (4 a_n), cancellation-free
         c2_scaled += pow2 * c2
         pow2 *= 2.0
-        if c2 <= 1e-34 * a * a:
+        if (c2 <= 1e-34 * a * a).all():
             break
     K = math.pi / (2.0 * a)
     E = K * (1.0 - 0.5 * m - c2_scaled)
-    D = K * (0.5 + (c2_scaled / m if m != 0.0 else 0.0))
+    D = K * (0.5 + c2_scaled / np.where(m != 0.0, m, 1.0))    # c2_scaled = 0 at m = 0
     return K, E, D
 
 
@@ -203,12 +206,12 @@ def _elliptic_ked(m: float) -> tuple[float, float, float]:
 def elliptic(m: float) -> EllipticPair:
     """K(m) and E(m), parameter convention, for m <= 1 (negative m included)."""
     K, E, _ = _elliptic_ked(m)
-    return EllipticPair(K, E)
+    return EllipticPair(float(K), float(E))
 
 
 def elliptic_d(m: float) -> float:
     """(K(m) - E(m))/m, evaluated without cancellation; equals pi/4 at m = 0."""
-    return _elliptic_ked(m)[2]
+    return float(_elliptic_ked(m)[2])
 
 
 def hyp2f2_11_52_3(p: float) -> float:

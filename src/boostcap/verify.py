@@ -144,22 +144,36 @@ def _check_lorentz_metric(level: str) -> tuple[float, float, str]:
     return worst, 1e-12, ""
 
 
-def _check_little_group(level: str) -> tuple[float, float, str]:
-    n = 100 if level == "full" else 20
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(n):
+def little_group_worst(samples: int, seed: int) -> dict[str, float]:
+    """Worst residuals of the little-group theorem over random z-boosts of
+    random null momenta; shared by verify and the wigner-check command."""
+    rng = np.random.default_rng(seed)
+    worst = dict.fromkeys(("wigner_angle", "a2", "a1_vs_theory", "reconstruction",
+                           "fixes_standard_vector"), 0.0)
+    for _ in range(samples):
         z = rng.uniform(-3, 3)
         th = rng.uniform(0.01, math.pi - 0.01)
         ph = rng.uniform(0, 2 * math.pi)
         w = rng.uniform(0.2, 5.0)
         p = lorentz.null_momentum(w, th, ph)
-        dec = lorentz.little_group(lorentz.boost_z(z), p)
+        boost = lorentz.boost_z(z)
+        dec = lorentz.little_group(boost, p)
         a1_theory = (math.sinh(z) * math.sin(th)
                      / (w * (math.cosh(z) - math.sinh(z) * math.cos(th))))
-        worst = max(worst, abs(dec.wigner_angle), abs(dec.a2),
-                    abs(dec.a1 - a1_theory), dec.residual)
-    return worst, 1e-10, ""
+        wmat = (np.linalg.inv(lorentz.standard_boost(boost @ p))
+                @ boost @ lorentz.standard_boost(p))
+        fix = float(np.abs(wmat @ lorentz.STANDARD_MOMENTUM
+                           - lorentz.STANDARD_MOMENTUM).max())
+        for key, v in (("wigner_angle", abs(dec.wigner_angle)), ("a2", abs(dec.a2)),
+                       ("a1_vs_theory", abs(dec.a1 - a1_theory)),
+                       ("reconstruction", dec.residual), ("fixes_standard_vector", fix)):
+            worst[key] = max(worst[key], v)
+    return worst
+
+
+def _check_little_group(level: str) -> tuple[float, float, str]:
+    worst = little_group_worst(100 if level == "full" else 20, seed=42)
+    return max(worst.values()), 1e-10, ""
 
 
 def _check_normalization(level: str) -> tuple[float, float, str]:
@@ -334,8 +348,8 @@ def _check_profiles(level: str) -> tuple[float, float, str]:
     worst = 0.0
     for th in thetas:
         for kind in channel.PROFILE_KINDS:
-            worst = max(worst, abs(phi_profile(kind, th, VERIFY_CONFIG)
-                                   - phi_profile_closed(kind, th)))
+            worst = max(worst, float(abs(phi_profile(kind, th, VERIFY_CONFIG)
+                                         - phi_profile_closed(kind, th))))
     return worst, 1e-9, ""
 
 

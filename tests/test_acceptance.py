@@ -95,8 +95,9 @@ def test_criterion_04_lambda3_closed_form():
 
 
 def test_criterion_05_series_cross_check():
-    # documented truncation-length rule: L = 2.5 Gamma^2 balances the
-    # neglected exponential tail against the truncated-exponential blowup
+    # the series is the exact non-analytic Laplace terms plus finite-part
+    # moments matched at s = L (default SERIES_MATCH_POINT); only the latter
+    # are truncated, so the error falls like Gamma^(-2(n_max+1))
     target = lambda_numeric(PacketFrame(5.0, 0.0), VERIFY_CONFIG, "closed_profile")
     l1, l2 = lambda12_series(5.0, 6)
     err = max(abs(l1 - target.l1) / target.l1, abs(l2 - target.l2) / target.l2)
@@ -110,8 +111,8 @@ def test_criterion_05_series_cross_check():
             errs.append(max(abs(a - tgt.l1) / tgt.l1, abs(b - tgt.l2) / tgt.l2))
         monotone &= all(x >= y for x, y in zip(errs, errs[1:]))
 
-    # scan the truncation length to show the 1e-4 target is out of reach at
-    # this expansion order: the error floor sits at the percent level
+    # scan the matching point: L is not a truncation, so the error stays at
+    # the same ~1e-13 level across the scan
     floor = min(
         max(abs(a - target.l1) / target.l1, abs(b - target.l2) / target.l2)
         for ll in (1.5, 2.0, 2.5, 3.0, 4.0)

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from boostcap import channel
 from boostcap.channel import (LAMBDA3_CONSTANT, PacketFrame, PauliLambda,
                               PauliProbs, QubitState, apply_pauli,
                               apply_pauli_matrix, compose, g_funcs,
@@ -21,7 +22,7 @@ from boostcap.channel import (LAMBDA3_CONSTANT, PacketFrame, PauliLambda,
                               state_density)
 from boostcap.errors import (DomainError, IntegrityError, NotAChannelError,
                              RangeError)
-from boostcap.quadrature import QuadratureConfig, integrate
+from boostcap.quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 from boostcap.wavepacket import theta_c
 
 
@@ -159,6 +160,39 @@ class TestLambdaNumeric:
     def test_unknown_method(self, cfg):
         with pytest.raises(DomainError):
             lambda_numeric(PacketFrame(1.0, 0.0), cfg, "fft")
+
+    @pytest.mark.parametrize("gamma, zeta, expected", [
+        (1.0, 8.0, (8.6655281180877e-07, -0.9999984287664014, 3.9596886030348837e-07)),
+        (1e-3, 5.0, (0.9999999944832224, 0.9999393601049176, 0.9999393545931553)),
+        (1.0, 2.0, (0.13048237256344747, -0.7644451051379622, 0.06353901818511795)),
+    ])
+    def test_fast_path_against_mpmath_references(self, gamma, zeta, expected):
+        # 40-digit mpmath rest-frame quadrature with dense seeds; a change of
+        # polar variable or breakpoints can converge to a wrong value (a lost
+        # spike or Gaussian tail) that fast-path vs oracle agreement misses
+        lam = lambda_numeric(PacketFrame(gamma, zeta), DEFAULT_CONFIG, "closed_profile")
+        for got, want in zip(lam.as_tuple(), expected):
+            assert got == pytest.approx(want, abs=1e-10)
+
+    def test_fast_path_is_one_integral_per_frame(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "integrate", counting)
+        frame = PacketFrame(0.8123, -0.4567)   # used by no other test: uncached
+        lam = lambda_numeric(frame, DEFAULT_CONFIG, "closed_profile")
+        assert len(calls) == 1
+        assert lambda_numeric(frame, DEFAULT_CONFIG, "closed_profile") == lam
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("method", ["closed_profile", "quadrature"])
+    def test_eigenvalues_are_python_floats(self, cfg, method):
+        # numpy scalars would leak numpy bools into sweep rows and manifests
+        lam = lambda_numeric(PacketFrame(0.5, 0.5), cfg, method)
+        assert all(type(v) is float for v in lam.as_tuple())
 
 
 class TestIdentities:
@@ -327,14 +361,28 @@ class TestSeriesCoeffs:
             assert a == pytest.approx(b, rel=1e-8)
 
     def test_integrand_pole_cancellation_near_zero(self):
-        from boostcap.channel import (_kappa_integrand_q,
-                                      _kappa_integrand_stable)
+        from boostcap.channel import _kappa_integrand, _kappa_integrand_q
         for s in (1e-3, 1e-2, 0.1, 1.0, 10.0):
             assert _kappa_integrand_q(s) == pytest.approx(
-                _kappa_integrand_stable(s), rel=1e-8)
+                _kappa_integrand(s), rel=1e-8)
         # both approach pi/2 at the origin
-        assert _kappa_integrand_stable(1e-12) == pytest.approx(math.pi / 2,
-                                                               rel=1e-10)
+        assert _kappa_integrand(1e-12) == pytest.approx(math.pi / 2, rel=1e-10)
+
+    @pytest.mark.parametrize("s", [1e3, 1e5, 1e7])
+    def test_integrands_against_mpmath_at_large_s(self, s):
+        # the parameter m = (s/(2+s))^2 approaches 1; forming 1 - m by
+        # subtraction loses digits there (1.5e-11 relative at s = 1e7)
+        import mpmath
+        from boostcap.channel import _iota_integrand, _kappa_integrand
+        with mpmath.workdps(40):
+            big_s = mpmath.mpf(s)
+            m = (big_s / (2 + big_s)) ** 2
+            r = mpmath.sqrt(1 + big_s)
+            iota = 2 * mpmath.ellipk(m) / (2 + big_s)
+            kappa = (2 * mpmath.ellipk(m) / (1 + r) ** 2
+                     + (2 + big_s) * mpmath.ellipe(m) / (r * (1 + r) ** 2))
+        assert _iota_integrand(s) == pytest.approx(float(iota), rel=1e-14, abs=0.0)
+        assert _kappa_integrand(s) == pytest.approx(float(kappa), rel=1e-14, abs=0.0)
 
     def test_iota_equivalent_elliptic_forms(self):
         from boostcap.channel import _iota_integrand

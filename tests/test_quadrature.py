@@ -73,6 +73,29 @@ class TestIntegrate:
         assert len(vals) == 1
 
 
+class TestVectorIntegrand:
+    ROWS = (lambda x: np.exp(-x * x),
+            lambda x: 1e-7 * np.cos(3.0 * x),     # a small component
+            lambda x: 1.0 / np.sqrt(np.abs(x - 0.3) + 1e-6),
+            lambda x: x ** 3)
+
+    def test_components_match_scalar_integrals(self, cfg):
+        vals, errs = integrate(lambda x: np.array([r(x) for r in self.ROWS]),
+                               -1.0, 2.0, cfg, breakpoints=[0.3])
+        assert vals.shape == errs.shape == (len(self.ROWS),)
+        for row, val, err in zip(self.ROWS, vals, errs):
+            alone, alone_err = integrate(row, -1.0, 2.0, cfg, breakpoints=[0.3])
+            assert abs(val - alone) <= err + alone_err
+            assert err <= max(cfg.abs_tol, cfg.rel_tol * abs(val))
+
+    def test_nonfinite_component_rejected(self):
+        def f(x):
+            with np.errstate(divide="ignore"):
+                return np.array([x, 1.0 / x])
+        with pytest.raises(DomainError):
+            integrate(f, -1.0, 1.0)
+
+
 class TestSemiInfinite:
     def test_exponential_sqrt_weight(self, cfg):
         # int_0^inf exp(-s)/(2 sqrt(1+s)) ds = (sqrt(pi)/2) erfcx(1)
