@@ -25,14 +25,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, IntegrityError, NotAChannelError, RangeError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, geometric_refinement, integrate
 from .special_functions import _agm_ked, _elliptic_ked, erf_family, erfi, hyp2f2_11_52_3
-from .wavepacket import PacketFrame, kernel_values, theta_breakpoints, theta_c
+from .wavepacket import (PacketFrame, kernel_values, normalization, theta_breakpoints,
+                         theta_c)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -234,51 +236,48 @@ def _closed_rows(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             -4.0 * c * K / (2.0 - u))
 
 
-def _cfg_key(cfg: QuadratureConfig) -> tuple:
-    return (cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
+def _nested_integral(frame: PacketFrame, cfg: QuadratureConfig,
+                     profile: Callable[[float, QuadratureConfig], float]) -> float:
+    """Polar integral of K times an adaptive azimuthal profile at every live node."""
+    # The azimuthal integrals sit inside a kernel-weighted polar integral, so
+    # their absolute error enters the result damped by ~1/pi; an absolute
+    # floor of 1e-10 keeps the error estimator off its roundoff stall in the
+    # near-singular layer at t = pi/2 without moving any stated tolerance.
+    inner_cfg = replace(cfg, abs_tol=max(cfg.abs_tol, 1e-10))
+
+    def outer(ts: np.ndarray) -> np.ndarray:
+        kv = kernel_values(ts, frame)
+        vals = np.zeros_like(kv)
+        for i in np.nonzero(kv > 0.0)[0]:
+            vals[i] = kv[i] * profile(float(ts[i]), inner_cfg)
+        return vals
+
+    val, _ = integrate(outer, 0.0, theta_c(frame.zeta), cfg,
+                       breakpoints=theta_breakpoints(frame))
+    return val
 
 
 @functools.lru_cache(maxsize=512)
-def _frame_integrals(gamma: float, zeta: float, cfg_key: tuple, method: str) -> dict:
+def _frame_integrals(gamma: float, zeta: float, cfg: QuadratureConfig, method: str) -> dict:
     """Kernel-weighted angular integrals of the profiles, plus N.
 
     The fast path integrates K (g2, g5, g6, 1) in one vector-valued pass, so
     N's quadrature error correlates with that of the numerators.
     """
-    cfg = QuadratureConfig(*cfg_key)
     frame = PacketFrame(gamma, zeta)
-    tc = theta_c(zeta)
-    breaks = theta_breakpoints(frame)
     if method == "closed_profile":
         def rows(ts: np.ndarray) -> np.ndarray:
             return kernel_values(ts, frame) * np.array([*_closed_rows(ts), np.ones_like(ts)])
 
-        vals, _ = integrate(rows, 0.0, tc, cfg, breakpoints=breaks)
+        vals, _ = integrate(rows, 0.0, theta_c(zeta), cfg,
+                            breakpoints=theta_breakpoints(frame))
         g2, g5, g6, n_val = vals.tolist()
         return {"g2_cos": g2, "g5_sqrt": g5, "g6_sqrt": g6, "norm": 2.0 * math.pi * n_val}
     if method != "quadrature":
         raise DomainError(f"unknown lambda method {method!r}")
-
-    # The azimuthal integrals sit inside a kernel-weighted polar integral, so
-    # their absolute error enters the result damped by ~1/pi; an absolute
-    # floor of 1e-10 keeps the error estimator off its roundoff stall in the
-    # near-singular layer at t = pi/2 without moving any stated tolerance.
-    inner_cfg = QuadratureConfig(max(cfg.abs_tol, 1e-10), cfg.rel_tol,
-                                 cfg.max_subdivisions)
-    out = {}
-    for kind in PROFILE_KINDS:
-        def outer(ts: np.ndarray, kind=kind) -> np.ndarray:
-            kv = kernel_values(ts, frame)
-            vals = np.zeros_like(kv)
-            live = kv > 0.0
-            for i in np.nonzero(live)[0]:
-                vals[i] = kv[i] * phi_profile(kind, float(ts[i]), inner_cfg)
-            return vals
-
-        out[kind], _ = integrate(outer, 0.0, tc, cfg, breakpoints=breaks)
-    n_val, _ = integrate(lambda ts: kernel_values(ts, frame), 0.0, tc, cfg,
-                         breakpoints=breaks)
-    out["norm"] = 2.0 * math.pi * n_val
+    out = {kind: _nested_integral(frame, cfg, functools.partial(phi_profile, kind))
+           for kind in PROFILE_KINDS}
+    out["norm"] = normalization(frame, "quadrature", cfg)
     return out
 
 
@@ -293,7 +292,7 @@ def lambda_numeric(frame: PacketFrame, cfg: QuadratureConfig = DEFAULT_CONFIG,
     probability simplex beyond 1e-9 raise IntegrityError; smaller ones are
     clamped (quadrature noise).
     """
-    ints = _frame_integrals(frame.gamma, frame.zeta, _cfg_key(cfg), method)
+    ints = _frame_integrals(frame.gamma, frame.zeta, cfg, method)
     n = ints["norm"]
     raw = (2.0 * ints["g5_sqrt"] / n,
            -2.0 * ints["g6_sqrt"] / n,
@@ -315,13 +314,10 @@ def _full_azimuth_integral(kind: str, frame: PacketFrame, cfg: QuadratureConfig)
     so the two sides of each identity go through genuinely independent
     subdivision histories.
     """
-    tc = theta_c(frame.zeta)
-    inner_cfg = QuadratureConfig(max(cfg.abs_tol, 1e-10), cfg.rel_tol,
-                                 cfg.max_subdivisions)
     quarter = math.pi / 2
     axes = [k * quarter for k in range(5)]
 
-    def prof(theta: float) -> float:
+    def prof(theta: float, inner_cfg: QuadratureConfig) -> float:
         scale = max(abs(math.cos(theta)), 1e-13)
         breaks = []
         for ax in axes:
@@ -334,15 +330,7 @@ def _full_azimuth_integral(kind: str, frame: PacketFrame, cfg: QuadratureConfig)
                            breakpoints=[b for b in breaks if 0.0 < b < 2.0 * math.pi])
         return val
 
-    def outer(ts: np.ndarray) -> np.ndarray:
-        kv = kernel_values(ts, frame)
-        vals = np.zeros_like(kv)
-        for i in np.nonzero(kv > 0.0)[0]:
-            vals[i] = kv[i] * prof(float(ts[i]))
-        return vals
-
-    val, _ = integrate(outer, 0.0, tc, cfg, breakpoints=theta_breakpoints(frame))
-    return val
+    return _nested_integral(frame, cfg, prof)
 
 
 def identity_residuals(frame: PacketFrame,
@@ -405,7 +393,7 @@ def rho_direct(state: QubitState, frame: PacketFrame,
     trace equals 1 only by virtue of the diagonal-consistency identities,
     making it a genuine check rather than an enforced normalization.
     """
-    ints = _frame_integrals(frame.gamma, frame.zeta, _cfg_key(cfg), "quadrature")
+    ints = _frame_integrals(frame.gamma, frame.zeta, cfg, "quadrature")
     n = ints["norm"]
     cs = math.cos(state.chi) * math.sin(state.xi)
     ss = math.sin(state.chi) * math.sin(state.xi)

@@ -17,13 +17,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import __version__
 from .capacity import boost_threshold, capacity_report, gamma_threshold
 from .channel import PacketFrame, lambda_numeric, lambda_probs
 from .errors import (BoostcapError, ConvergenceError, DomainError,
                      PreconditionError, RangeError, ThresholdNotFoundError)
+from .quadrature import QuadratureConfig
 from .sweep import (SweepSpec, check_no_nan, load_config_file, make_manifest,
                     render_csv, resolve_quadrature_config, run_sweep,
                     write_csv, write_json, write_svg)
@@ -58,13 +59,11 @@ def _add_zeta_args(p: argparse.ArgumentParser) -> None:
                    help="boost velocity, |v| < 1; converted to rapidity")
 
 
-def _quadrature_from(args) -> "QuadratureConfig":
-    file_values = {}
+def _quadrature_from(args) -> QuadratureConfig:
     path = args.config or os.environ.get("BOOSTCAP_CONFIG")
-    if path:
-        file_values = load_config_file(path)
-    return resolve_quadrature_config(file_values, args.abs_tol, args.rel_tol,
-                                     args.max_subdivisions)
+    file_values = load_config_file(path) if path else {}
+    flags = {f.name: getattr(args, f.name) for f in fields(QuadratureConfig)}
+    return resolve_quadrature_config(file_values, **flags)
 
 
 def _zeta_from(args) -> float:

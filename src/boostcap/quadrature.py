@@ -75,7 +75,7 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 # Looser preset intended for wide parameter sweeps.
-SWEEP_CONFIG = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-8, max_subdivisions=2000)
+SWEEP_CONFIG = QuadratureConfig(rel_tol=1e-8)
 
 
 def _gk15(f: Callable[[np.ndarray], np.ndarray], lows: np.ndarray, highs: np.ndarray):
@@ -214,8 +214,11 @@ def integrate_semi_infinite(
     return integrate(h, 0.0, math.pi / 2, cfg, breakpoints=mapped)
 
 
-def geometric_refinement(lo: float, hi: float, scale: float, ratio: float = 0.25,
-                         max_points: int = 40) -> list[float]:
+_REFINE_RATIO = 0.25
+_REFINE_MAX_POINTS = 40
+
+
+def geometric_refinement(lo: float, hi: float, scale: float) -> list[float]:
     """Breakpoints accumulating geometrically toward ``hi``.
 
     Used to seed integration of sharply peaked integrands whose feature width
@@ -226,8 +229,8 @@ def geometric_refinement(lo: float, hi: float, scale: float, ratio: float = 0.25
     if span <= 0 or scale <= 0:
         return []
     pts = []
-    w = span * ratio
-    while w > 0.25 * scale and len(pts) < max_points:
+    w = span * _REFINE_RATIO
+    while w > 0.25 * scale and len(pts) < _REFINE_MAX_POINTS:
         pts.append(hi - w)
-        w *= ratio
+        w *= _REFINE_RATIO
     return pts

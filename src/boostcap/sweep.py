@@ -17,7 +17,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -60,6 +60,9 @@ class SweepSpec:
     fixed: float
 
     def __post_init__(self):
+        for name in ("start", "stop", "fixed"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"sweep {name} must be finite, got {getattr(self, name)!r}")
         if self.axis not in AXES:
             raise DomainError(f"axis must be one of {AXES}, got {self.axis!r}")
         if not (self.start < self.stop):
@@ -96,8 +99,7 @@ def make_manifest(spec: SweepSpec, cfg: QuadratureConfig, method: str) -> RunMan
         "tool": "boostcap",
         "version": __version__,
         "spec": asdict(spec),
-        "quadrature": {"abs_tol": cfg.abs_tol, "rel_tol": cfg.rel_tol,
-                       "max_subdivisions": cfg.max_subdivisions},
+        "quadrature": asdict(cfg),
         "method": method,
         "conventions": CONVENTIONS,
     }
@@ -109,10 +111,9 @@ def make_manifest(spec: SweepSpec, cfg: QuadratureConfig, method: str) -> RunMan
 
 
 def _eval_point(args: tuple) -> dict:
-    index, inv_gamma, zeta, cfg_tuple, method = args
+    index, inv_gamma, zeta, cfg, method = args
     row = {"index": index, "inv_gamma": inv_gamma, "zeta": zeta, "status": "ok"}
     try:
-        cfg = QuadratureConfig(*cfg_tuple)
         lam = lambda_numeric(PacketFrame(1.0 / inv_gamma, zeta), cfg, method)
         rep = capacity_report(lam)
         p = lambda_probs(lam)
@@ -130,11 +131,10 @@ def _eval_point(args: tuple) -> dict:
 def run_sweep(spec: SweepSpec, cfg: QuadratureConfig = SWEEP_CONFIG,
               method: str = "closed_profile", jobs: int | None = None) -> list[dict]:
     """Evaluate the sweep grid; failed points are flagged rows, not run failures."""
-    cfg_tuple = (cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
     tasks = []
     for i, x in enumerate(spec.grid()):
         inv_gamma, zeta = (x, spec.fixed) if spec.axis == "inv_gamma" else (spec.fixed, x)
-        tasks.append((i, inv_gamma, zeta, cfg_tuple, method))
+        tasks.append((i, inv_gamma, zeta, cfg, method))
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
@@ -261,7 +261,7 @@ def write_svg(path: str, rows: list[dict], spec: SweepSpec) -> None:
 
 def load_config_file(path: str) -> dict:
     """key = value lines; '#' starts a comment; unknown keys rejected."""
-    known = {"abs_tol": float, "rel_tol": float, "max_subdivisions": int}
+    known = {f.name: type(f.default) for f in fields(QuadratureConfig)}
     out: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -281,20 +281,10 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def resolve_quadrature_config(file_values: dict, abs_tol: float | None,
-                              rel_tol: float | None,
-                              max_subdivisions: int | None) -> QuadratureConfig:
-    """Flags override file values override sweep defaults."""
-    base = {"abs_tol": SWEEP_CONFIG.abs_tol, "rel_tol": SWEEP_CONFIG.rel_tol,
-            "max_subdivisions": SWEEP_CONFIG.max_subdivisions}
-    base.update(file_values)
-    if abs_tol is not None:
-        base["abs_tol"] = abs_tol
-    if rel_tol is not None:
-        base["rel_tol"] = rel_tol
-    if max_subdivisions is not None:
-        base["max_subdivisions"] = max_subdivisions
-    return QuadratureConfig(**base)
+def resolve_quadrature_config(file_values: dict, **flags) -> QuadratureConfig:
+    """Flags override file values override sweep defaults; a flag of None is unset."""
+    set_flags = {key: value for key, value in flags.items() if value is not None}
+    return replace(SWEEP_CONFIG, **{**file_values, **set_flags})
 
 
 def check_no_nan(rows: list[dict]) -> None:

@@ -25,11 +25,11 @@ from .channel import (PacketFrame, PauliLambda, PauliProbs, QubitState,
                       lambda_numeric, lambda_probs, phi_profile,
                       phi_profile_closed, probs_lambda, rho_direct,
                       state_density)
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_CONFIG
 from .special_functions import elliptic, entropy, erf_family, hyp2f2_11_52_3
 from .wavepacket import normalization, rest_frame_trace
 
-VERIFY_CONFIG = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=2000)
+VERIFY_CONFIG = DEFAULT_CONFIG
 
 ZETA_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 GAMMA_GRID = (0.1, 0.5, 1.0, 5.0)

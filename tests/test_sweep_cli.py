@@ -3,12 +3,12 @@ import math
 
 import pytest
 
-from boostcap.cli import main
+from boostcap.cli import _quadrature_from, build_parser, main
 from boostcap.errors import DomainError
 from boostcap.sweep import (COLUMNS, SweepSpec, check_no_nan, load_config_file,
                             make_manifest, render_csv, render_json, render_svg,
                             run_sweep)
-from boostcap.quadrature import SWEEP_CONFIG
+from boostcap.quadrature import SWEEP_CONFIG, QuadratureConfig
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +27,13 @@ class TestSweepSpec:
             SweepSpec(axis="zeta", start=0.0, stop=1.0, steps=1, fixed=1.0)
         with pytest.raises(DomainError):
             SweepSpec(axis="inv_gamma", start=0.0, stop=1.0, steps=5, fixed=0.0)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="stop"):
+                SweepSpec(axis="zeta", start=-1.0, stop=bad, steps=3, fixed=1.0)
+            with pytest.raises(DomainError, match="start"):
+                SweepSpec(axis="zeta", start=bad, stop=1.0, steps=3, fixed=1.0)
+            with pytest.raises(DomainError, match="fixed"):
+                SweepSpec(axis="inv_gamma", start=0.1, stop=1.0, steps=3, fixed=bad)
 
     def test_grid_endpoints(self):
         spec = SweepSpec(axis="zeta", start=-2.0, stop=0.0, steps=5, fixed=0.1)
@@ -101,6 +108,12 @@ class TestRendering:
         doc = json.loads(render_json(rows, m1))
         assert doc["manifest"]["manifest_id"] == m1.manifest_id
         assert len(doc["rows"]) == len(rows)
+        # identical manifests promise byte-identical CSV, so the identity of a
+        # fixed spec and config must not drift with how the manifest is built
+        assert m1.manifest_id == \
+            "2ba0cb2ea174d6189e35517b659f9c1ac782b18307ce1ad15d0e8cf50bbf7826"
+        assert m1.quadrature == {"abs_tol": 1e-12, "rel_tol": 1e-8,
+                                 "max_subdivisions": 2000}
 
     def test_svg_structure(self, fig2_rows):
         spec, rows = fig2_rows
@@ -167,12 +180,30 @@ class TestCli:
         assert svg.read_text().startswith("<svg")
 
     def test_config_file_and_env(self, tmp_path, capsys, monkeypatch):
+        def resolved(*flags):
+            return _quadrature_from(build_parser().parse_args(
+                ["lambdas", "--gamma", "1.0", *flags]))
+
+        monkeypatch.delenv("BOOSTCAP_CONFIG", raising=False)
+        assert resolved() == SWEEP_CONFIG
         p = tmp_path / "quad.conf"
-        p.write_text("rel_tol = 1e-6\n")
+        p.write_text("rel_tol = 1e-6\nmax_subdivisions = 500\n")
         monkeypatch.setenv("BOOSTCAP_CONFIG", str(p))
         assert main(["lambdas", "--gamma", "1.0"]) == 0
         capsys.readouterr()
-        monkeypatch.delenv("BOOSTCAP_CONFIG")
+        # sweep defaults < file < flags
+        assert resolved() == QuadratureConfig(abs_tol=SWEEP_CONFIG.abs_tol,
+                                              rel_tol=1e-6, max_subdivisions=500)
+        assert resolved("--rel-tol", "1e-7", "--abs-tol", "1e-11") == \
+            QuadratureConfig(abs_tol=1e-11, rel_tol=1e-7, max_subdivisions=500)
+        # --config beats $BOOSTCAP_CONFIG
+        q = tmp_path / "other.conf"
+        q.write_text("abs_tol = 1e-9\n")
+        assert resolved("--config", str(q)) == QuadratureConfig(
+            abs_tol=1e-9, rel_tol=SWEEP_CONFIG.rel_tol,
+            max_subdivisions=SWEEP_CONFIG.max_subdivisions)
+        assert resolved("--config", str(q), "--max-subdivisions", "7") == QuadratureConfig(
+            abs_tol=1e-9, rel_tol=SWEEP_CONFIG.rel_tol, max_subdivisions=7)
 
     def test_wigner_check(self, capsys):
         assert main(["wigner-check", "--samples", "25"]) == 0
