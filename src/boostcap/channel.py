@@ -30,8 +30,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, IntegrityError, NotAChannelError, RangeError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, geometric_refinement, integrate
+from .errors import (ConvergenceError, DomainError, IntegrityError, NotAChannelError,
+                     RangeError)
+from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, geometric_refinement, integrate,
+                         integrate_batch)
 from .special_functions import _agm_ked, _elliptic_ked, erf_family, erfi, hyp2f2_11_52_3
 from .wavepacket import (PacketFrame, kernel_values, normalization, theta_breakpoints,
                          theta_c)
@@ -159,9 +161,8 @@ def g_funcs(theta: float, phi: float) -> tuple[float, float, float, float, float
 PROFILE_KINDS = ("g1_cos", "g2_cos", "g3_sin", "g4_sin", "g5_sqrt", "g6_sqrt")
 
 
-def _phi_integrand(kind: str, theta: float, phis: np.ndarray) -> np.ndarray:
-    ct = math.cos(theta)
-    u = math.sin(theta) ** 2
+def _phi_integrand(kind: str, ct: np.ndarray, u: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """The ``kind`` azimuthal integrand; ct = cos t and u = sin^2 t broadcast against phis."""
     cp2 = np.cos(phis) ** 2
     sp2 = 1.0 - cp2
     c2p = np.cos(2.0 * phis)
@@ -184,21 +185,63 @@ def _phi_integrand(kind: str, theta: float, phis: np.ndarray) -> np.ndarray:
     raise DomainError(f"unknown profile kind {kind!r}")
 
 
+@dataclass(frozen=True)
+class _Azimuth:
+    """An adaptive azimuthal profile: ``factor`` times the integral of the
+    ``kind`` integrand over [0, period), seeded at polar angle t by ``seeds(t)``."""
+
+    kind: str
+    period: float
+    seeds: Callable[[float], list[float]]
+    factor: float
+
+
+def _axis_layers(theta: float) -> list[float]:
+    # near t = pi/2 the denominators develop narrow layers of width |cos t|
+    # at the axes; geometric breakpoints seed them
+    return geometric_refinement(0.0, math.pi / 2, max(abs(math.cos(theta)), 1e-13))
+
+
+def _quarter_seeds(theta: float) -> list[float]:
+    stack = _axis_layers(theta)
+    return stack + [math.pi / 2 - b for b in stack]
+
+
+def _quarter_period(kind: str) -> _Azimuth:
+    # every integrand is symmetric under phi -> -phi and phi -> pi - phi
+    return _Azimuth(kind, math.pi / 2, _quarter_seeds, 4.0)
+
+
+def _located(where: str, exc: ConvergenceError, cfg: QuadratureConfig, factor: float = 1.0,
+             problem: int | None = None) -> ConvergenceError:
+    return ConvergenceError(f"{where} did not converge within {cfg.max_subdivisions} subdivisions",
+                            estimate=factor * exc.estimate,
+                            error_bound=factor * exc.error_bound, problem=problem)
+
+
+def _azimuthal_profiles(spec: _Azimuth, thetas, cfg: QuadratureConfig) -> np.ndarray:
+    """``spec`` at every polar angle of ``thetas``: one batched worklist of
+    independent adaptive integrals, one per angle."""
+    # libm's cos t and sin t; numpy's vectorized ones can differ in the last bit
+    ct = np.array([math.cos(t) for t in thetas])
+    u = np.array([math.sin(t) ** 2 for t in thetas])
+    try:
+        vals, _ = integrate_batch(
+            lambda phis, i: _phi_integrand(spec.kind, ct[i], u[i], phis),
+            [0.0] * len(ct), [spec.period] * len(ct), cfg, [spec.seeds(t) for t in thetas])
+    except ConvergenceError as exc:
+        raise _located(f"{spec.kind} azimuthal profile at theta={float(thetas[exc.problem])!r}",
+                       exc, cfg, spec.factor, exc.problem) from exc
+    return spec.factor * vals
+
+
 def phi_profile(kind: str, theta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Azimuthal integral of one g-kernel over [0, 2*pi) by adaptive quadrature.
 
-    Every integrand is symmetric under phi -> -phi and phi -> pi - phi, so
-    only [0, pi/2] is integrated.  Near t = pi/2 the denominators develop
-    narrow layers of width |cos t| at the axes; geometric breakpoints seed
-    them.
+    The one-node call of the oracle's batched profiles: [0, pi/2] is
+    integrated and the result multiplied by 4.
     """
-    scale = max(abs(math.cos(theta)), 1e-13)
-    half = math.pi / 2
-    breaks = geometric_refinement(0.0, half, scale)
-    breaks += [half - b for b in breaks]
-    val, _ = integrate(lambda p: _phi_integrand(kind, theta, p), 0.0, half, cfg,
-                       breakpoints=breaks)
-    return 4.0 * val
+    return float(_azimuthal_profiles(_quarter_period(kind), [theta], cfg)[0])
 
 
 def phi_profile_closed(kind: str, theta: float | np.ndarray) -> float | np.ndarray:
@@ -236,9 +279,12 @@ def _closed_rows(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             -4.0 * c * K / (2.0 - u))
 
 
-def _nested_integral(frame: PacketFrame, cfg: QuadratureConfig,
-                     profile: Callable[[float, QuadratureConfig], float]) -> float:
-    """Polar integral of K times an adaptive azimuthal profile at every live node."""
+def _nested_integral(frame: PacketFrame, cfg: QuadratureConfig, profile: _Azimuth) -> float:
+    """Polar integral of K times an adaptive azimuthal profile at every live node.
+
+    The profiles of all live nodes of one polar GK15 batch run as one batched
+    worklist; each node keeps its own partition, tolerance and budget.
+    """
     # The azimuthal integrals sit inside a kernel-weighted polar integral, so
     # their absolute error enters the result damped by ~1/pi; an absolute
     # floor of 1e-10 keeps the error estimator off its roundoff stall in the
@@ -247,13 +293,18 @@ def _nested_integral(frame: PacketFrame, cfg: QuadratureConfig,
 
     def outer(ts: np.ndarray) -> np.ndarray:
         kv = kernel_values(ts, frame)
+        live = kv > 0.0
         vals = np.zeros_like(kv)
-        for i in np.nonzero(kv > 0.0)[0]:
-            vals[i] = kv[i] * profile(float(ts[i]), inner_cfg)
+        vals[live] = kv[live] * _azimuthal_profiles(profile, ts[live], inner_cfg)
         return vals
 
-    val, _ = integrate(outer, 0.0, theta_c(frame.zeta), cfg,
-                       breakpoints=theta_breakpoints(frame))
+    try:
+        val, _ = integrate(outer, 0.0, theta_c(frame.zeta), cfg,
+                           breakpoints=theta_breakpoints(frame))
+    except ConvergenceError as exc:
+        if exc.problem is not None:
+            raise                       # an azimuthal profile, located already
+        raise _located(f"{profile.kind} polar integral at {frame!r}", exc, cfg) from exc
     return val
 
 
@@ -275,8 +326,7 @@ def _frame_integrals(gamma: float, zeta: float, cfg: QuadratureConfig, method: s
         return {"g2_cos": g2, "g5_sqrt": g5, "g6_sqrt": g6, "norm": 2.0 * math.pi * n_val}
     if method != "quadrature":
         raise DomainError(f"unknown lambda method {method!r}")
-    out = {kind: _nested_integral(frame, cfg, functools.partial(phi_profile, kind))
-           for kind in PROFILE_KINDS}
+    out = {kind: _nested_integral(frame, cfg, _quarter_period(kind)) for kind in PROFILE_KINDS}
     out["norm"] = normalization(frame, "quadrature", cfg)
     return out
 
@@ -306,6 +356,16 @@ def lambda_numeric(frame: PacketFrame, cfg: QuadratureConfig = DEFAULT_CONFIG,
         raise IntegrityError(f"complete positivity violated at {frame!r}: {exc}") from exc
 
 
+def _full_period_seeds(theta: float) -> list[float]:
+    quarter = math.pi / 2
+    stack = _axis_layers(theta)
+    breaks = [quarter, 2.0 * quarter, 3.0 * quarter]
+    for ax in (k * quarter for k in range(5)):
+        breaks.extend(ax + b for b in stack)
+        breaks.extend(ax - b for b in stack)
+    return breaks
+
+
 def _full_azimuth_integral(kind: str, frame: PacketFrame, cfg: QuadratureConfig) -> float:
     """Kernel-weighted profile integral with the azimuth over the full period.
 
@@ -314,23 +374,7 @@ def _full_azimuth_integral(kind: str, frame: PacketFrame, cfg: QuadratureConfig)
     so the two sides of each identity go through genuinely independent
     subdivision histories.
     """
-    quarter = math.pi / 2
-    axes = [k * quarter for k in range(5)]
-
-    def prof(theta: float, inner_cfg: QuadratureConfig) -> float:
-        scale = max(abs(math.cos(theta)), 1e-13)
-        breaks = []
-        for ax in axes:
-            stack = geometric_refinement(0.0, quarter, scale)
-            breaks.extend(ax + b for b in stack)
-            breaks.extend(ax - b for b in stack)
-        breaks.extend(axes[1:4])
-        val, _ = integrate(lambda ph: _phi_integrand(kind, theta, ph),
-                           0.0, 2.0 * math.pi, inner_cfg,
-                           breakpoints=[b for b in breaks if 0.0 < b < 2.0 * math.pi])
-        return val
-
-    return _nested_integral(frame, cfg, prof)
+    return _nested_integral(frame, cfg, _Azimuth(kind, 2.0 * math.pi, _full_period_seeds, 1.0))
 
 
 def identity_residuals(frame: PacketFrame,

@@ -28,13 +28,16 @@ class ConvergenceError(BoostcapError):
     """Adaptive quadrature failed to reach the requested tolerance.
 
     Carries the best estimate obtained and the associated error bound so a
-    caller can decide whether the partial result is still usable.
+    caller can decide whether the partial result is still usable; a batched
+    integral also carries the index of the problem that failed.
     """
 
-    def __init__(self, message: str, estimate: float, error_bound: float):
+    def __init__(self, message: str, estimate: float, error_bound: float,
+                 problem: int | None = None):
         super().__init__(f"{message} (estimate={estimate!r}, error_bound={error_bound!r})")
         self.estimate = estimate
         self.error_bound = error_bound
+        self.problem = problem
 
 
 class IntegrityError(BoostcapError):

@@ -4,8 +4,11 @@ A 7-15 pair is applied on a worklist of intervals; the interval with the
 largest error estimate is bisected until the global estimate meets the
 requested tolerance.  Integrands receive a numpy array of n abscissae and
 return an array of shape (n,), or (k, n) for k integrals over one partition,
-so a single subdivision costs one vectorized call.  Splitting order is a pure
-function of the estimates, which makes repeated runs bit-identical.
+so a single subdivision costs one vectorized call.  ``integrate_batch`` runs
+many independent problems in one worklist: each round bisects the worst
+interval of every unconverged problem, with one integrand call for all of
+them.  Splitting order is a pure function of a problem's own estimates, which
+makes repeated runs bit-identical.
 """
 
 from __future__ import annotations
@@ -118,38 +121,115 @@ def integrate(
     must meet the tolerance.  Raises :class:`ConvergenceError` when the
     subdivision budget is exhausted before the tolerance is met.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("integration endpoints must be finite")
-    if b <= a:
-        if b == a:
-            return 0.0, 0.0
-        raise DomainError("integration range is empty (b < a)")
+    return _worklist(f, [a], [b], cfg, [breakpoints], indexed=False)[0]
 
+
+def integrate_batch(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: Sequence[float],
+    b: Sequence[float],
+    cfg: QuadratureConfig,
+    breakpoints: Sequence[Sequence[float] | None],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate P independent scalar problems, problem p over [a[p], b[p]].
+
+    ``f(x, idx)`` receives the abscissae of every problem at once and, per
+    abscissa, the index of its problem.  Each problem keeps its own seeds
+    (``breakpoints[p]``), worklist, tolerance test and subdivision budget;
+    each round bisects the worst interval of every unconverged problem, and
+    all new intervals share one integrand call.  Returns estimates and
+    bounds as arrays of shape (P,); a zero-width problem integrates to 0.
+    The first problem (in index order) to exhaust its budget raises
+    :class:`ConvergenceError` with its own estimate, bound and index.
+    """
+    pairs = _worklist(f, a, b, cfg, breakpoints, indexed=True)
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+def _worklist(f, a, b, cfg, breakpoints, indexed):
+    """The adaptive loop shared by :func:`integrate` and :func:`integrate_batch`.
+
+    Every round gathers the intervals that each unfinished problem asks for
+    (first its seed partition, then one bisection), evaluates them in one
+    GK15 batch and hands each problem its share.
+    """
+    results = [(0.0, 0.0)] * len(a)      # a zero-width problem integrates to 0
+    pending = {}                         # problem -> (its loop, the intervals it asks for)
+    for p, (lo, hi, bps) in enumerate(zip(a, b, breakpoints)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError("integration endpoints must be finite")
+        if hi < lo:
+            raise DomainError("integration range is empty (b < a)")
+        if hi > lo:
+            loop = _refine(cfg, lo, hi, bps)
+            pending[p] = loop, next(loop)
+    while pending:
+        rounds = list(pending.items())
+        lows, highs, owners = [], [], []
+        for p, (_, (los, his)) in rounds:
+            lows += los
+            highs += his
+            owners += [p] * len(los)
+        lows, highs = np.array(lows), np.array(highs)
+        if indexed:
+            idx = np.repeat(owners, 15)
+            vals, errs = _gk15(lambda x: f(x, idx), lows, highs)
+        else:
+            vals, errs = _gk15(f, lows, highs)
+        i = 0
+        for p, (loop, (los, _)) in rounds:
+            j = i + len(los)
+            try:
+                pending[p] = loop, loop.send((vals[i:j], errs[i:j]))
+            except StopIteration as done:
+                del pending[p]
+                total, total_err, converged = done.value
+                if not converged:
+                    raise ConvergenceError(
+                        f"quadrature did not converge within {cfg.max_subdivisions} subdivisions",
+                        estimate=total, error_bound=total_err,
+                        problem=p if indexed else None) from None
+                results[p] = total, total_err
+            i = j
+    return results
+
+
+def _refine(cfg, a, b, breakpoints):
+    """One problem's worklist over [a, b], from its seed partition to convergence.
+
+    Yields the (lows, highs) of the intervals it needs evaluated, first the
+    seed partition and then the two halves of each bisection, and receives
+    their values and errors; returns (estimate, bound, converged).  Its
+    splitting order is a pure function of its own estimates.
+    """
     edges = [a, b]
     if breakpoints:
-        edges.extend(p for p in breakpoints if a < p < b)
+        edges.extend(x for x in breakpoints if a < x < b)
     edges = sorted(set(edges))
-    lows = np.array(edges[:-1])
-    highs = np.array(edges[1:])
-    vals, errs = _gk15(f, lows, highs)
+    lows, highs = edges[:-1], edges[1:]
+    vals, errs = yield lows, highs
+    # heap keys and endpoints, and scalar values, are plain floats: cheaper
+    # heap entries and sums, with the same values
     if vals.ndim == 1:
+        plain = lambda x: x.tolist()  # noqa: E731
         priority = lambda e: e  # noqa: E731
         within_tol = lambda t, e: e <= max(cfg.abs_tol, cfg.rel_tol * abs(t))  # noqa: E731
         fsum = math.fsum
     else:
+        plain = lambda x: x  # noqa: E731
         # components differ in scale, so an interval ranks by its largest
         # error relative to that component's tolerance after the first pass
         weight = 1.0 / np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(vals.sum(axis=0)))
-        priority = lambda e: (e * weight).max(axis=1)  # noqa: E731
+        priority = lambda e: (e * weight).max(axis=1).tolist()  # noqa: E731
         within_tol = lambda t, e: bool(np.all(  # noqa: E731
             e <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(t))))
         fsum = lambda parts: np.array([math.fsum(c) for c in zip(*parts)])  # noqa: E731
 
     # (-priority, left endpoint) ordering makes the splitting sequence unique.
-    heap = list(zip(-priority(errs), lows, highs, vals, errs))
+    heap = list(zip([-k for k in priority(plain(errs))], lows, highs, plain(vals), plain(errs)))
     heapq.heapify(heap)
-    total = vals.sum(axis=0)
-    total_err = errs.sum(axis=0)
+    total = plain(vals.sum(axis=0))
+    total_err = plain(errs.sum(axis=0))
     n_sub = len(heap)
 
     def resum():
@@ -162,34 +242,30 @@ def integrate(
         if within_tol(total, total_err):
             total, total_err = resum()
             if within_tol(total, total_err):
-                break
+                return total, total_err, True
             continue
         if n_sub >= cfg.max_subdivisions:
             total, total_err = resum()
-            raise ConvergenceError(
-                f"quadrature did not converge within {cfg.max_subdivisions} subdivisions",
-                estimate=total, error_bound=total_err)
+            return total, total_err, False
         neg_key, lo, hi, val, err = heapq.heappop(heap)
         m = 0.5 * (lo + hi)
         if neg_key == 0.0:
             # only unsplittable or converged intervals remain
             heapq.heappush(heap, (neg_key, lo, hi, val, err))
             total, total_err = resum()
-            break
+            return total, total_err, True
         if m <= lo or m >= hi:
             # interval at floating point resolution: accept its estimate
             heapq.heappush(heap, (0.0, lo, hi, val, 0.0 * err))
             total_err -= err  # remove its error from the budget
             continue
-        v2, e2 = _gk15(f, np.array([lo, m]), np.array([m, hi]))
+        v2, e2 = map(plain, (yield [lo, m], [m, hi]))
         k2 = priority(e2)
-        total += v2.sum(axis=0) - val
-        total_err += e2.sum(axis=0) - err
+        total += (v2[0] + v2[1]) - val
+        total_err += (e2[0] + e2[1]) - err
         heapq.heappush(heap, (-k2[0], lo, m, v2[0], e2[0]))
         heapq.heappush(heap, (-k2[1], m, hi, v2[1], e2[1]))
         n_sub += 1
-
-    return total, total_err
 
 
 def integrate_semi_infinite(

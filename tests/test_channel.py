@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from boostcap import channel
+from boostcap import channel, quadrature
 from boostcap.channel import (LAMBDA3_CONSTANT, PacketFrame, PauliLambda,
                               PauliProbs, QubitState, apply_pauli,
                               apply_pauli_matrix, compose, g_funcs,
@@ -20,8 +20,8 @@ from boostcap.channel import (LAMBDA3_CONSTANT, PacketFrame, PauliLambda,
                               lambda_probs, phi_profile, phi_profile_closed,
                               probs_lambda, rho_direct, series_coeffs,
                               state_density)
-from boostcap.errors import (DomainError, IntegrityError, NotAChannelError,
-                             RangeError)
+from boostcap.errors import (ConvergenceError, DomainError, IntegrityError,
+                             NotAChannelError, RangeError)
 from boostcap.quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 from boostcap.wavepacket import theta_c
 
@@ -188,6 +188,46 @@ class TestLambdaNumeric:
         assert lambda_numeric(frame, DEFAULT_CONFIG, "closed_profile") == lam
         assert len(calls) == 1
 
+    def test_oracle_batches_its_azimuthal_integrals(self, monkeypatch):
+        # the azimuthal profiles of a polar GK15 batch run as one batched
+        # worklist: no integral per polar node; measured 1222 GK15 calls at
+        # this frame, against 1992 integrals and 8133 calls made one node
+        # at a time
+        integrals, batches = [], []
+
+        def counting_integrate(*args, **kwargs):
+            integrals.append(args)
+            return integrate(*args, **kwargs)
+
+        def counting_gk15(*args):
+            batches.append(len(args[1]))
+            return gk15(*args)
+
+        gk15 = quadrature._gk15
+        monkeypatch.setattr(channel, "integrate", counting_integrate)
+        monkeypatch.setattr(quadrature, "_gk15", counting_gk15)
+        channel._frame_integrals.__wrapped__(1.0, 0.5, DEFAULT_CONFIG, "quadrature")
+        assert len(integrals) == len(channel.PROFILE_KINDS)    # the polar ones
+        assert len(batches) < 1500
+
+    def test_oracle_convergence_error_says_where(self):
+        # with one subdivision the g1 polar integral fails first; the g6
+        # azimuthal profiles fail inside the first polar batch, and that
+        # error passes through the polar integral unchanged
+        starved = QuadratureConfig(max_subdivisions=1)
+        frame = PacketFrame(1.0, 0.5)
+        with pytest.raises(ConvergenceError) as exc:
+            lambda_numeric(frame, starved, "quadrature")
+        assert str(exc.value).startswith(f"g1_cos polar integral at {frame!r} did not "
+                                         "converge within 1 subdivisions")
+        with pytest.raises(ConvergenceError) as exc:
+            channel._nested_integral(frame, starved, channel._quarter_period("g6_sqrt"))
+        kind, _, rest = str(exc.value).partition(" azimuthal profile at theta=")
+        assert kind == "g6_sqrt"
+        assert 0.0 < float(rest.split()[0]) < theta_c(frame.zeta)
+        assert "within 1 subdivisions" in rest
+        assert math.isfinite(exc.value.estimate) and exc.value.error_bound > 0
+
     @pytest.mark.parametrize("method", ["closed_profile", "quadrature"])
     def test_eigenvalues_are_python_floats(self, cfg, method):
         # numpy scalars would leak numpy bools into sweep rows and manifests
@@ -205,6 +245,51 @@ class TestIdentities:
     def test_specific_boosted_point(self, cfg):
         r1, r2 = identity_residuals(PacketFrame(0.2, 1.5), cfg)
         assert r2 < 1e-8
+
+
+class TestOraclePinned:
+    # oracle values of the version that ran one adaptive azimuthal integral
+    # per polar node, at DEFAULT_CONFIG: eigenvalues, the six frame
+    # integrals (g1..g6) and the identity residuals.  Batching the profiles
+    # changes no splitting decision; it changes the last bit of some GK15
+    # sums, because the GK15 reduction is a BLAS mat-vec whose rounding
+    # depends on the number of rows in the batch.  Measured: 53 of these 55
+    # values are bit-identical and the other two differ by 1.6e-16 relative.
+    PINNED = (
+        ((0.5, -2.0), (0.99999999999829092, 0.99999866162146189, 0.99999866161975293),
+         (0.35553172366738944, 0.35553124783075329, 0.35553172366738944,
+          -0.35553124783075329, 0.35553172366678182, -0.35553124783136086),
+         (0.0, 0.0)),
+        ((1.0, -1.0), (0.99999986106806227, 0.99954696397069198, 0.99954682529198935),
+         (1.1904627990469012, 1.1899233114155456, 1.1904627990469012,
+          -1.1899233114155456, 1.1904626336535977, -1.1899234765073821),
+         (0.0, 0.0)),
+        ((0.5, -0.5), (0.99999972185344499, 0.99946033599841566, 0.99946005887166478),
+         (0.35553172366738939, 0.35533975746735341, 0.35553172366738939,
+          -0.35533975746735347, 0.35553162477746519, -0.3553398559947048),
+         (0.0, 0.0)),
+        ((1.0, 0.5), (0.97362440403452866, 0.82627121128368619, 0.82010943558747029),
+         (1.1904627990469012, 0.97630977421423437, 1.1904627990469012,
+          -0.97630977421423437, 1.1590636332473163, -0.98364513895665073),
+         (0.0, 0.0)),
+        ((0.1, 2.0), (0.99801392006263578, 0.96530600473779871, 0.96429935028889502),
+         (0.015630573083267658, 0.01507255146883809, 0.015630573083267658,
+          -0.01507255146883809, 0.015599529515657472, -0.015088286054771275),
+         (0.0, 1.7347234759768071e-18)),
+    )
+
+    @pytest.mark.parametrize("frame, lam, ints, residuals", PINNED)
+    def test_oracle_values_unchanged(self, frame, lam, ints, residuals):
+        got = lambda_numeric(PacketFrame(*frame), DEFAULT_CONFIG, "quadrature")
+        for g, w in zip(got.as_tuple(), lam):
+            assert g == pytest.approx(w, rel=1e-15, abs=0.0)
+        got_ints = channel._frame_integrals(*frame, DEFAULT_CONFIG, "quadrature")
+        for kind, w in zip(channel.PROFILE_KINDS, ints):
+            assert got_ints[kind] == pytest.approx(w, rel=1e-15, abs=0.0), kind
+        # a residual is the difference of two integrals of size |g1|, so it
+        # is held to 1e-15 relative to them
+        for g, w in zip(identity_residuals(PacketFrame(*frame), DEFAULT_CONFIG), residuals):
+            assert g == pytest.approx(w, rel=0.0, abs=1e-15 * ints[0])
 
 
 class TestRhoDirect:

@@ -1,0 +1,34 @@
+"""Property tests: invariants checked on drawn inputs, derandomized."""
+
+import math
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from boostcap import channel  # noqa: E402
+from boostcap.quadrature import DEFAULT_CONFIG  # noqa: E402
+
+# polar angles away from t = pi/2, where the g integrands are singular
+_ANGLES = st.floats(0.01, math.pi - 0.01).filter(lambda t: abs(t - math.pi / 2) > 1e-6)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(kind=st.sampled_from(channel.PROFILE_KINDS),
+       thetas=st.lists(_ANGLES, min_size=1, max_size=8),
+       cuts=st.lists(st.integers(1, 7), max_size=3))
+def test_batched_profiles_match_one_node_calls(kind, thetas, cuts):
+    # each azimuthal integral of a batch keeps its own partition and
+    # splitting order, so batching may move only the last bits of its GK15
+    # sums.  The tolerance is 1e-15 relative to max(|value|, pi): the g1
+    # and g3 profiles equal pi, and g2, g4 and g5 cancel towards 0 on the
+    # backward hemisphere, where a relative error means nothing
+    spec = channel._quarter_period(kind)
+    bounds = sorted({0, len(thetas), *(c for c in cuts if c < len(thetas))})
+    for lo, hi in zip(bounds, bounds[1:]):
+        batch = thetas[lo:hi]
+        got = channel._azimuthal_profiles(spec, batch, DEFAULT_CONFIG)
+        for theta, value in zip(batch, got):
+            alone = channel.phi_profile(kind, theta, DEFAULT_CONFIG)
+            assert abs(value - alone) <= 1e-15 * max(abs(alone), math.pi), (kind, theta)

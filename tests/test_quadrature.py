@@ -5,7 +5,7 @@ import pytest
 
 from boostcap.errors import ConvergenceError, DomainError
 from boostcap.quadrature import (QuadratureConfig, geometric_refinement,
-                                 integrate, integrate_semi_infinite)
+                                 integrate, integrate_batch, integrate_semi_infinite)
 from boostcap.special_functions import erf_family
 
 
@@ -94,6 +94,63 @@ class TestVectorIntegrand:
                 return np.array([x, 1.0 / x])
         with pytest.raises(DomainError):
             integrate(f, -1.0, 1.0)
+
+
+class TestBatch:
+    # (integrand, a, b, seeds): a polynomial that converges on its seed
+    # partition, a near-singular peak that needs many bisections, and
+    # problems with different seed counts
+    PROBLEMS = ((lambda x: x * x, 0.0, 1.0, None),
+                (lambda x: 1.0 / np.sqrt(np.abs(x - 0.3) + 1e-9), 0.0, 1.0, [0.5]),
+                (lambda x: np.exp(-x * x), -8.0, 8.0, [-1.0, 0.0, 1.0]),
+                (lambda x: np.cos(20.0 * x), 0.0, 3.0, [1.0, 2.0]))
+
+    @classmethod
+    def batched(cls, problems):
+        def f(x, idx):
+            out = np.empty_like(x)
+            for p, (g, a, b, _) in enumerate(problems):
+                mine = idx == p
+                assert np.all((x[mine] > a) & (x[mine] < b))
+                out[mine] = g(x[mine])
+            return out
+        return f
+
+    def test_each_problem_matches_its_own_integral(self, cfg):
+        vals, errs = integrate_batch(self.batched(self.PROBLEMS),
+                                     [p[1] for p in self.PROBLEMS],
+                                     [p[2] for p in self.PROBLEMS], cfg,
+                                     [p[3] for p in self.PROBLEMS])
+        assert vals.shape == errs.shape == (len(self.PROBLEMS),)
+        for (g, a, b, seeds), val, err in zip(self.PROBLEMS, vals, errs):
+            alone, alone_err = integrate(g, a, b, cfg, breakpoints=seeds)
+            assert abs(val - alone) <= err + alone_err
+            assert err <= max(cfg.abs_tol, cfg.rel_tol * abs(val))
+
+    def test_one_problem_is_the_one_problem_loop(self, cfg):
+        # a batch of one makes the same GK15 batches as integrate itself
+        g, a, b, seeds = self.PROBLEMS[1]
+        vals, errs = integrate_batch(lambda x, idx: g(x), [a], [b], cfg, [seeds])
+        assert (vals[0], errs[0]) == integrate(g, a, b, cfg, breakpoints=seeds)
+
+    def test_empty_batch_calls_nothing(self, cfg):
+        def f(x, idx):
+            raise AssertionError("integrand called for an empty batch")
+        vals, errs = integrate_batch(f, [], [], cfg, [])
+        assert vals.shape == errs.shape == (0,)
+
+    def test_exhausted_problem_raises_its_own_estimate(self):
+        starved = QuadratureConfig(1e-14, 1e-13, 16)
+        problems = (self.PROBLEMS[0], self.PROBLEMS[1], self.PROBLEMS[0])
+        with pytest.raises(ConvergenceError) as exc:
+            integrate_batch(self.batched(problems), [0.0] * 3, [1.0] * 3, starved,
+                            [p[3] for p in problems])
+        g, a, b, seeds = problems[1]
+        with pytest.raises(ConvergenceError) as alone:
+            integrate(g, a, b, starved, breakpoints=seeds)
+        assert exc.value.problem == 1
+        assert exc.value.estimate == pytest.approx(alone.value.estimate, rel=1e-14)
+        assert exc.value.error_bound == pytest.approx(alone.value.error_bound, rel=1e-12)
 
 
 class TestSemiInfinite:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -8,7 +9,7 @@ from boostcap.errors import DomainError
 from boostcap.sweep import (COLUMNS, SweepSpec, check_no_nan, load_config_file,
                             make_manifest, render_csv, render_json, render_svg,
                             run_sweep)
-from boostcap.quadrature import SWEEP_CONFIG, QuadratureConfig
+from boostcap.quadrature import DEFAULT_CONFIG, SWEEP_CONFIG, QuadratureConfig
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,17 @@ class TestRendering:
             "2ba0cb2ea174d6189e35517b659f9c1ac782b18307ce1ad15d0e8cf50bbf7826"
         assert m1.quadrature == {"abs_tol": 1e-12, "rel_tol": 1e-8,
                                  "max_subdivisions": 2000}
+
+    def test_fast_path_csv_bytes_pinned(self, fig2_rows):
+        # the fast path runs through the one-problem call of the integrator's
+        # shared worklist and makes the same GK15 batches as before it was
+        # shared, so its CSV bytes stay those of that version
+        _, rows = fig2_rows
+        receding = run_sweep(SweepSpec("zeta", -1.0, 2.0, 7, 1.0), DEFAULT_CONFIG, jobs=1)
+        assert hashlib.sha256(render_csv(rows)).hexdigest() == \
+            "6b60c61bb5e6ab369a72b2f4309b6708c261db7f9484009c718aa0b76482a75f"
+        assert hashlib.sha256(render_csv(receding)).hexdigest() == \
+            "dde0877c83d65bcf6d38fd4b9bf56be785d99b18b13b8692efcaaa4aa034b73f"
 
     def test_svg_structure(self, fig2_rows):
         spec, rows = fig2_rows
