@@ -9,7 +9,7 @@ For a Pauli channel with Bloch eigenvalues (l1, l2, l3) and probabilities
 - no-cloning indicator    c0 = p1+p2+p3 + sqrt(p1 p2) + sqrt(p2 p3) + sqrt(p1 p3);
                           c0 >= 1/2 certifies exactly zero quantum capacity
 - entanglement breaking   iff the partial transpose of the Choi matrix is
-                          positive semidefinite (qubit channels)
+                          positive semidefinite (qubit channels): max p_i <= 1/2
 
 The two theorems are mutually consistent: whenever c0 >= 1/2 the hashing
 bound cannot be positive, and the report constructor enforces that.
@@ -87,11 +87,11 @@ def choi_matrix(lam: PauliLambda) -> np.ndarray:
 
 
 def is_entanglement_breaking(lam: PauliLambda) -> bool:
-    """Positive partial transpose of the Choi matrix (min eigenvalue >= -1e-10)."""
-    choi = choi_matrix(lam).reshape(2, 2, 2, 2)
-    pt = choi.transpose(0, 3, 2, 1).reshape(4, 4)
-    eigs = np.linalg.eigvalsh(pt)
-    return bool(eigs.min() >= -_EB_EIG_TOL)
+    """Positive partial transpose of the Choi matrix (min eigenvalue >= -1e-10).
+
+    The Choi matrix is Bell-diagonal with weights p_i, so the eigenvalues of
+    its partial transpose are 1/2 - p_i."""
+    return bool(max(lambda_probs(lam).as_tuple()) <= 0.5 + _EB_EIG_TOL)
 
 
 def capacity_report(lam: PauliLambda) -> CapacityReport:

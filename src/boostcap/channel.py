@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -161,14 +161,16 @@ def g_funcs(theta: float, phi: float) -> tuple[float, float, float, float, float
 PROFILE_KINDS = ("g1_cos", "g2_cos", "g3_sin", "g4_sin", "g5_sqrt", "g6_sqrt")
 
 
-def _phi_integrand(kind: str, ct: np.ndarray, u: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """The ``kind`` azimuthal integrand; ct = cos t and u = sin^2 t broadcast against phis."""
+def _phi_integrand(kind: str, ct: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """The ``kind`` azimuthal integrand; ct = cos t broadcasts against phis."""
     cp2 = np.cos(phis) ** 2
-    sp2 = 1.0 - cp2
+    sp2 = np.sin(phis) ** 2
     c2p = np.cos(2.0 * phis)
     s2p2 = np.sin(2.0 * phis) ** 2
-    den_c = 1.0 - cp2 * u
-    den_s = 1.0 - sp2 * u
+    # 1 - cos^2 p sin^2 t and 1 - sin^2 p sin^2 t as sums of squares, which
+    # do not cancel near t = pi/2
+    den_c = sp2 + cp2 * ct * ct
+    den_s = cp2 + sp2 * ct * ct
     if kind == "g1_cos":
         return 0.5 * (cp2 * ct * ct + sp2) / den_c
     if kind == "g2_cos":
@@ -199,7 +201,7 @@ class _Azimuth:
 def _axis_layers(theta: float) -> list[float]:
     # near t = pi/2 the denominators develop narrow layers of width |cos t|
     # at the axes; geometric breakpoints seed them
-    return geometric_refinement(0.0, math.pi / 2, max(abs(math.cos(theta)), 1e-13))
+    return geometric_refinement(0.0, math.pi / 2, abs(math.cos(theta)))
 
 
 def _quarter_seeds(theta: float) -> list[float]:
@@ -222,12 +224,11 @@ def _located(where: str, exc: ConvergenceError, cfg: QuadratureConfig, factor: f
 def _azimuthal_profiles(spec: _Azimuth, thetas, cfg: QuadratureConfig) -> np.ndarray:
     """``spec`` at every polar angle of ``thetas``: one batched worklist of
     independent adaptive integrals, one per angle."""
-    # libm's cos t and sin t; numpy's vectorized ones can differ in the last bit
+    # libm's cos t; numpy's vectorized one can differ in the last bit
     ct = np.array([math.cos(t) for t in thetas])
-    u = np.array([math.sin(t) ** 2 for t in thetas])
     try:
         vals, _ = integrate_batch(
-            lambda phis, i: _phi_integrand(spec.kind, ct[i], u[i], phis),
+            lambda phis, i: _phi_integrand(spec.kind, ct[i], phis),
             [0.0] * len(ct), [spec.period] * len(ct), cfg, [spec.seeds(t) for t in thetas])
     except ConvergenceError as exc:
         raise _located(f"{spec.kind} azimuthal profile at theta={float(thetas[exc.problem])!r}",
@@ -285,17 +286,11 @@ def _nested_integral(frame: PacketFrame, cfg: QuadratureConfig, profile: _Azimut
     The profiles of all live nodes of one polar GK15 batch run as one batched
     worklist; each node keeps its own partition, tolerance and budget.
     """
-    # The azimuthal integrals sit inside a kernel-weighted polar integral, so
-    # their absolute error enters the result damped by ~1/pi; an absolute
-    # floor of 1e-10 keeps the error estimator off its roundoff stall in the
-    # near-singular layer at t = pi/2 without moving any stated tolerance.
-    inner_cfg = replace(cfg, abs_tol=max(cfg.abs_tol, 1e-10))
-
     def outer(ts: np.ndarray) -> np.ndarray:
         kv = kernel_values(ts, frame)
         live = kv > 0.0
         vals = np.zeros_like(kv)
-        vals[live] = kv[live] * _azimuthal_profiles(profile, ts[live], inner_cfg)
+        vals[live] = kv[live] * _azimuthal_profiles(profile, ts[live], cfg)
         return vals
 
     try:

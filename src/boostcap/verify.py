@@ -344,7 +344,9 @@ def _check_max_lambda_monitor(level: str) -> tuple[float, float, str]:
 
 
 def _check_profiles(level: str) -> tuple[float, float, str]:
-    thetas = (0.3, 1.0, 1.5, 1.65, 2.5) if level == "full" else (0.3, 1.5)
+    # pi/2 and its neighbours sample the |cos t|-thin azimuthal layers
+    band = (math.pi / 2 - 1e-7, math.pi / 2, math.pi / 2 + 1e-7)
+    thetas = ((0.3, 1.0, 1.5, 1.65, 2.5) if level == "full" else (0.3, 1.5)) + band
     worst = 0.0
     for th in thetas:
         for kind in channel.PROFILE_KINDS:

@@ -117,6 +117,19 @@ class TestEntanglementBreaking:
             expected = max(p.as_tuple()) <= 0.5
             assert is_entanglement_breaking(probs_lambda(p)) == expected
 
+    def test_matches_choi_partial_transpose(self, rng):
+        # the flag against the smallest eigenvalue of the partial transpose
+        # of the Choi matrix itself
+        def ppt(lam):
+            pt = choi_matrix(lam).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+            return bool(np.linalg.eigvalsh(pt).min() >= -1e-10)
+
+        lams = [probs_lambda(PauliProbs(*rng.dirichlet(np.ones(4)))) for _ in range(200)]
+        lams += [PauliLambda(t, t, t) for t in (1 / 3 - 1e-6, 1 / 3 + 1e-6)]
+        for lam in lams:
+            assert is_entanglement_breaking(lam) is ppt(lam), lam
+        assert is_entanglement_breaking(lams[-2]) and not is_entanglement_breaking(lams[-1])
+
     def test_choi_properties(self):
         c = choi_matrix(PauliLambda(0.3, -0.2, 0.1))
         assert np.abs(c - c.conj().T).max() < 1e-14

@@ -97,6 +97,15 @@ class TestProfiles:
                 b = phi_profile_closed(kind, th)
                 assert a == pytest.approx(b, abs=1e-9), (kind, th)
 
+    @pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-5, -1e-5])
+    def test_quadrature_matches_closed_across_half_pi(self, offset):
+        # the azimuthal denominators shrink to cos^2 t at the axes here; the
+        # adaptive profiles must neither fail nor lose digits in this band
+        th = math.pi / 2 + offset
+        for kind in channel.PROFILE_KINDS:
+            got = phi_profile(kind, th, DEFAULT_CONFIG)
+            assert got == pytest.approx(float(phi_profile_closed(kind, th)), abs=1e-12), kind
+
     def test_backward_hemisphere_l3_profile_vanishes(self):
         for th in (1.6, 2.0, 2.9):
             assert phi_profile_closed("g2_cos", th) == 0.0
@@ -190,9 +199,8 @@ class TestLambdaNumeric:
 
     def test_oracle_batches_its_azimuthal_integrals(self, monkeypatch):
         # the azimuthal profiles of a polar GK15 batch run as one batched
-        # worklist: no integral per polar node; measured 1222 GK15 calls at
-        # this frame, against 1992 integrals and 8133 calls made one node
-        # at a time
+        # worklist: no integral per polar node; measured 532 GK15 calls at
+        # this frame
         integrals, batches = [], []
 
         def counting_integrate(*args, **kwargs):
@@ -208,6 +216,20 @@ class TestLambdaNumeric:
         monkeypatch.setattr(quadrature, "_gk15", counting_gk15)
         channel._frame_integrals.__wrapped__(1.0, 0.5, DEFAULT_CONFIG, "quadrature")
         assert len(integrals) == len(channel.PROFILE_KINDS)    # the polar ones
+        assert len(batches) < 1500
+
+    def test_receding_oracle_frame_has_no_roundoff_tail(self, monkeypatch):
+        # polar nodes near t = pi/2 must not bisect their azimuthal layers
+        # down to rounding; measured 653 GK15 calls at this frame
+        batches = []
+
+        def counting_gk15(*args):
+            batches.append(len(args[1]))
+            return gk15(*args)
+
+        gk15 = quadrature._gk15
+        monkeypatch.setattr(quadrature, "_gk15", counting_gk15)
+        channel._frame_integrals.__wrapped__(5.0, 0.5, DEFAULT_CONFIG, "quadrature")
         assert len(batches) < 1500
 
     def test_oracle_convergence_error_says_where(self):
