@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -187,31 +186,11 @@ def _phi_integrand(kind: str, ct: np.ndarray, phis: np.ndarray) -> np.ndarray:
     raise DomainError(f"unknown profile kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class _Azimuth:
-    """An adaptive azimuthal profile: ``factor`` times the integral of the
-    ``kind`` integrand over [0, period), seeded at polar angle t by ``seeds(t)``."""
-
-    kind: str
-    period: float
-    seeds: Callable[[float], list[float]]
-    factor: float
-
-
-def _axis_layers(theta: float) -> list[float]:
+def _quarter_seeds(theta: float) -> list[float]:
     # near t = pi/2 the denominators develop narrow layers of width |cos t|
     # at the axes; geometric breakpoints seed them
-    return geometric_refinement(0.0, math.pi / 2, abs(math.cos(theta)))
-
-
-def _quarter_seeds(theta: float) -> list[float]:
-    stack = _axis_layers(theta)
+    stack = geometric_refinement(0.0, math.pi / 2, abs(math.cos(theta)))
     return stack + [math.pi / 2 - b for b in stack]
-
-
-def _quarter_period(kind: str) -> _Azimuth:
-    # every integrand is symmetric under phi -> -phi and phi -> pi - phi
-    return _Azimuth(kind, math.pi / 2, _quarter_seeds, 4.0)
 
 
 def _located(where: str, exc: ConvergenceError, cfg: QuadratureConfig, factor: float = 1.0,
@@ -221,19 +200,23 @@ def _located(where: str, exc: ConvergenceError, cfg: QuadratureConfig, factor: f
                             error_bound=factor * exc.error_bound, problem=problem)
 
 
-def _azimuthal_profiles(spec: _Azimuth, thetas, cfg: QuadratureConfig) -> np.ndarray:
-    """``spec`` at every polar angle of ``thetas``: one batched worklist of
-    independent adaptive integrals, one per angle."""
+def _azimuthal_profiles(kind: str, thetas, cfg: QuadratureConfig) -> np.ndarray:
+    """The ``kind`` profile at every polar angle of ``thetas``: one batched
+    worklist of independent adaptive integrals, one per angle.
+
+    Every integrand is symmetric under phi -> -phi and phi -> pi - phi, so
+    each integral runs over [0, pi/2) and is multiplied by 4.
+    """
     # libm's cos t; numpy's vectorized one can differ in the last bit
     ct = np.array([math.cos(t) for t in thetas])
     try:
         vals, _ = integrate_batch(
-            lambda phis, i: _phi_integrand(spec.kind, ct[i], phis),
-            [0.0] * len(ct), [spec.period] * len(ct), cfg, [spec.seeds(t) for t in thetas])
+            lambda phis, i: _phi_integrand(kind, ct[i], phis),
+            [0.0] * len(ct), [math.pi / 2] * len(ct), cfg, [_quarter_seeds(t) for t in thetas])
     except ConvergenceError as exc:
-        raise _located(f"{spec.kind} azimuthal profile at theta={float(thetas[exc.problem])!r}",
-                       exc, cfg, spec.factor, exc.problem) from exc
-    return spec.factor * vals
+        raise _located(f"{kind} azimuthal profile at theta={float(thetas[exc.problem])!r}",
+                       exc, cfg, 4.0, exc.problem) from exc
+    return 4.0 * vals
 
 
 def phi_profile(kind: str, theta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -242,7 +225,7 @@ def phi_profile(kind: str, theta: float, cfg: QuadratureConfig = DEFAULT_CONFIG)
     The one-node call of the oracle's batched profiles: [0, pi/2] is
     integrated and the result multiplied by 4.
     """
-    return float(_azimuthal_profiles(_quarter_period(kind), [theta], cfg)[0])
+    return float(_azimuthal_profiles(kind, [theta], cfg)[0])
 
 
 def phi_profile_closed(kind: str, theta: float | np.ndarray) -> float | np.ndarray:
@@ -280,8 +263,8 @@ def _closed_rows(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             -4.0 * c * K / (2.0 - u))
 
 
-def _nested_integral(frame: PacketFrame, cfg: QuadratureConfig, profile: _Azimuth) -> float:
-    """Polar integral of K times an adaptive azimuthal profile at every live node.
+def _nested_integral(frame: PacketFrame, cfg: QuadratureConfig, kind: str) -> float:
+    """Polar integral of K times the adaptive ``kind`` profile at every live node.
 
     The profiles of all live nodes of one polar GK15 batch run as one batched
     worklist; each node keeps its own partition, tolerance and budget.
@@ -290,7 +273,7 @@ def _nested_integral(frame: PacketFrame, cfg: QuadratureConfig, profile: _Azimut
         kv = kernel_values(ts, frame)
         live = kv > 0.0
         vals = np.zeros_like(kv)
-        vals[live] = kv[live] * _azimuthal_profiles(profile, ts[live], cfg)
+        vals[live] = kv[live] * _azimuthal_profiles(kind, ts[live], cfg)
         return vals
 
     try:
@@ -299,7 +282,7 @@ def _nested_integral(frame: PacketFrame, cfg: QuadratureConfig, profile: _Azimut
     except ConvergenceError as exc:
         if exc.problem is not None:
             raise                       # an azimuthal profile, located already
-        raise _located(f"{profile.kind} polar integral at {frame!r}", exc, cfg) from exc
+        raise _located(f"{kind} polar integral at {frame!r}", exc, cfg) from exc
     return val
 
 
@@ -321,7 +304,7 @@ def _frame_integrals(gamma: float, zeta: float, cfg: QuadratureConfig, method: s
         return {"g2_cos": g2, "g5_sqrt": g5, "g6_sqrt": g6, "norm": 2.0 * math.pi * n_val}
     if method != "quadrature":
         raise DomainError(f"unknown lambda method {method!r}")
-    out = {kind: _nested_integral(frame, cfg, _quarter_period(kind)) for kind in PROFILE_KINDS}
+    out = {kind: _nested_integral(frame, cfg, kind) for kind in PROFILE_KINDS}
     out["norm"] = normalization(frame, "quadrature", cfg)
     return out
 
@@ -351,41 +334,19 @@ def lambda_numeric(frame: PacketFrame, cfg: QuadratureConfig = DEFAULT_CONFIG,
         raise IntegrityError(f"complete positivity violated at {frame!r}: {exc}") from exc
 
 
-def _full_period_seeds(theta: float) -> list[float]:
-    quarter = math.pi / 2
-    stack = _axis_layers(theta)
-    breaks = [quarter, 2.0 * quarter, 3.0 * quarter]
-    for ax in (k * quarter for k in range(5)):
-        breaks.extend(ax + b for b in stack)
-        breaks.extend(ax - b for b in stack)
-    return breaks
-
-
-def _full_azimuth_integral(kind: str, frame: PacketFrame, cfg: QuadratureConfig) -> float:
-    """Kernel-weighted profile integral with the azimuth over the full period.
-
-    Unlike the quarter-period reduction in :func:`phi_profile`, nothing here
-    exploits the reflection symmetry relating the two identity integrands,
-    so the two sides of each identity go through genuinely independent
-    subdivision histories.
-    """
-    return _nested_integral(frame, cfg, _Azimuth(kind, 2.0 * math.pi, _full_period_seeds, 1.0))
-
-
 def identity_residuals(frame: PacketFrame,
                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float]:
     """|LHS - RHS| of the two diagonal-consistency identities.
 
     The first identity's integrands are pointwise equal (each reduces to
-    K/2); the second pair agrees only after a quarter-turn shift of the
-    azimuth.  Each of the four double integrals is evaluated by its own
-    full-azimuth adaptive quadrature.
+    1/2); the second pair agrees only after a quarter-turn shift of the
+    azimuth.  Both read the oracle's cached frame integrals, the numbers
+    :func:`rho_direct` assembles, so the identities are checked on the
+    integrals whose trace they guarantee.
     """
-    r1 = abs(_full_azimuth_integral("g1_cos", frame, cfg)
-             - _full_azimuth_integral("g3_sin", frame, cfg))
-    r2 = abs(_full_azimuth_integral("g2_cos", frame, cfg)
-             + _full_azimuth_integral("g4_sin", frame, cfg))
-    return r1, r2
+    ints = _frame_integrals(frame.gamma, frame.zeta, cfg, "quadrature")
+    return (abs(ints["g1_cos"] - ints["g3_sin"]),
+            abs(ints["g2_cos"] + ints["g4_sin"]))
 
 
 def apply_pauli(lam: PauliLambda, state: QubitState) -> np.ndarray:

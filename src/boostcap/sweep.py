@@ -130,14 +130,21 @@ def _eval_point(args: tuple) -> dict:
 
 def run_sweep(spec: SweepSpec, cfg: QuadratureConfig = SWEEP_CONFIG,
               method: str = "closed_profile", jobs: int | None = None) -> list[dict]:
-    """Evaluate the sweep grid; failed points are flagged rows, not run failures."""
+    """Evaluate the sweep grid; failed points are flagged rows, not run failures.
+
+    ``jobs`` worker processes (default: the machine's parallelism), never
+    more than there are grid points; ``jobs < 1`` raises DomainError.
+    """
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs!r}")
     tasks = []
     for i, x in enumerate(spec.grid()):
         inv_gamma, zeta = (x, spec.fixed) if spec.axis == "inv_gamma" else (spec.fixed, x)
         tasks.append((i, inv_gamma, zeta, cfg, method))
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
+    jobs = min(jobs, len(tasks))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_eval_point, tasks, chunksize=1))
     else:

@@ -222,7 +222,7 @@ def _eq6_worst(level: str) -> tuple[float, float]:
 
 
 def _check_eq6_first(level: str) -> tuple[float, float, str]:
-    return _eq6_worst(level)[0], 1e-10, "pointwise-identical integrand pair"
+    return _eq6_worst(level)[0], 1e-10, "oracle frame integrals g1 - g3; both integrands are 1/2"
 
 
 def _check_eq6_second(level: str) -> tuple[float, float, str]:

@@ -157,8 +157,7 @@ def rest_frame_trace(gamma: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> fl
     return val
 
 
-def log_envelope_sq(theta: float, frame: PacketFrame,
-                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def log_envelope_sq(theta: float, frame: PacketFrame) -> float:
     """log of the normalized squared envelope at polar angle theta.
 
     The envelope normalizer is half the kernel normalization (the azimuthal
@@ -172,12 +171,11 @@ def log_envelope_sq(theta: float, frame: PacketFrame,
     d = float(d_values(np.array([theta]), frame.zeta)[0])
     if d <= 0.0:
         return -math.inf
-    n_env = 0.5 * normalization(frame, "closed_form", cfg)
+    n_env = 0.5 * normalization(frame, "closed_form")
     st = math.sin(theta)
     return -(st * st) / (frame.gamma ** 2 * d * d) - math.log(d) - math.log(n_env)
 
 
-def envelope_sq(theta: float, frame: PacketFrame,
-                cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    lv = log_envelope_sq(theta, frame, cfg)
+def envelope_sq(theta: float, frame: PacketFrame) -> float:
+    lv = log_envelope_sq(theta, frame)
     return 0.0 if lv < _LOG_TINY else math.exp(lv)

@@ -243,7 +243,7 @@ class TestLambdaNumeric:
         assert str(exc.value).startswith(f"g1_cos polar integral at {frame!r} did not "
                                          "converge within 1 subdivisions")
         with pytest.raises(ConvergenceError) as exc:
-            channel._nested_integral(frame, starved, channel._quarter_period("g6_sqrt"))
+            channel._nested_integral(frame, starved, "g6_sqrt")
         kind, _, rest = str(exc.value).partition(" azimuthal profile at theta=")
         assert kind == "g6_sqrt"
         assert 0.0 < float(rest.split()[0]) < theta_c(frame.zeta)
@@ -267,6 +267,40 @@ class TestIdentities:
     def test_specific_boosted_point(self, cfg):
         r1, r2 = identity_residuals(PacketFrame(0.2, 1.5), cfg)
         assert r2 < 1e-8
+
+    def test_residuals_read_the_oracle_cache(self, monkeypatch):
+        # after an oracle evaluation at a frame the identities cost no
+        # quadrature: they read the same cached frame integrals
+        frame = PacketFrame(0.8123, -0.4567)
+        lambda_numeric(frame, DEFAULT_CONFIG, "quadrature")
+        batches = []
+
+        def counting_gk15(*args):
+            batches.append(len(args[1]))
+            return gk15(*args)
+
+        gk15 = quadrature._gk15
+        monkeypatch.setattr(quadrature, "_gk15", counting_gk15)
+        identity_residuals(frame, DEFAULT_CONFIG)
+        assert batches == []
+
+    @pytest.mark.parametrize("kind, which, tol", [("g3_sin", 0, 1e-10), ("g4_sin", 1, 1e-8)])
+    def test_perturbed_integrand_breaks_an_identity(self, monkeypatch, kind, which, tol):
+        # one integrand scaled by 1 + 1e-6 must push its identity's residual
+        # past verify's tolerance
+        plain = channel._phi_integrand
+
+        def perturbed(k, ct, phis):
+            out = plain(k, ct, phis)
+            return out * (1.0 + 1e-6) if k == kind else out
+
+        monkeypatch.setattr(channel, "_phi_integrand", perturbed)
+        channel._frame_integrals.cache_clear()
+        try:
+            residuals = identity_residuals(PacketFrame(0.8123, -0.4567), DEFAULT_CONFIG)
+        finally:
+            channel._frame_integrals.cache_clear()
+        assert residuals[which] > tol
 
 
 class TestOraclePinned:

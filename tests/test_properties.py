@@ -27,11 +27,10 @@ def test_batched_profiles_match_one_node_calls(kind, thetas, cuts):
     # sums.  The tolerance is 1e-15 relative to max(|value|, pi): the g1
     # and g3 profiles equal pi, and g2, g4 and g5 cancel towards 0 on the
     # backward hemisphere, where a relative error means nothing
-    spec = channel._quarter_period(kind)
     bounds = sorted({0, len(thetas), *(c for c in cuts if c < len(thetas))})
     for lo, hi in zip(bounds, bounds[1:]):
         batch = thetas[lo:hi]
-        got = channel._azimuthal_profiles(spec, batch, DEFAULT_CONFIG)
+        got = channel._azimuthal_profiles(kind, batch, DEFAULT_CONFIG)
         for theta, value in zip(batch, got):
             alone = channel.phi_profile(kind, theta, DEFAULT_CONFIG)
             assert abs(value - alone) <= 1e-15 * max(abs(alone), math.pi), (kind, theta)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from boostcap import sweep
 from boostcap.cli import _quadrature_from, build_parser, main
 from boostcap.errors import DomainError
 from boostcap.sweep import (COLUMNS, SweepSpec, check_no_nan, load_config_file,
@@ -74,6 +75,39 @@ class TestSweepRun:
         rows = run_sweep(spec, SWEEP_CONFIG, jobs=1)
         assert rows[0]["hashing"] > 0.0          # strongly boosted
         assert rows[-1]["hashing"] == 0.0        # at rest, zero capacity packet
+
+    def test_jobs_bound_the_pool(self, monkeypatch):
+        # a fake executor records the pool size and runs serially: no process
+        # is started
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        spec = SweepSpec(axis="inv_gamma", start=0.2, stop=0.4, steps=3, fixed=0.0)
+        serial = run_sweep(spec, SWEEP_CONFIG, jobs=1)
+        assert sizes == []
+        assert run_sweep(spec, SWEEP_CONFIG, jobs=5000) == serial
+        assert run_sweep(spec, SWEEP_CONFIG) == serial
+        assert sizes == [3, 2]
+        for jobs in (0, -3):
+            with pytest.raises(DomainError, match="jobs"):
+                run_sweep(spec, SWEEP_CONFIG, jobs=jobs)
+        assert main(["sweep-gamma", "--start", "0.2", "--stop", "0.4", "--steps", "3",
+                     "--zeta", "0", "--jobs", "0"]) == 2
+        assert sizes == [3, 2]
 
     def test_failed_points_flagged_run_continues(self):
         from boostcap.quadrature import QuadratureConfig

@@ -130,24 +130,24 @@ class TestRestFrameTrace:
 
 
 class TestEnvelope:
-    def test_forward_value_at_rest(self, cfg):
+    def test_forward_value_at_rest(self):
         frame = PacketFrame(1.0, 0.0)
         n_env = 0.5 * normalization(frame, "closed_form")
-        assert envelope_sq(0.0, frame, cfg) == pytest.approx(1.0 / n_env, rel=1e-12)
+        assert envelope_sq(0.0, frame) == pytest.approx(1.0 / n_env, rel=1e-12)
 
-    def test_direct_evaluation(self, cfg):
+    def test_direct_evaluation(self):
         frame = PacketFrame(0.5, -1.0)
         th = 0.3
         d = math.sinh(-1.0) + math.cosh(-1.0) * math.cos(th)
         expected = (math.exp(-math.sin(th) ** 2 / (0.25 * d * d)) / d
                     / (0.5 * normalization(frame, "closed_form")))
-        assert envelope_sq(th, frame, cfg) == pytest.approx(expected, rel=1e-12)
+        assert envelope_sq(th, frame) == pytest.approx(expected, rel=1e-12)
 
-    def test_concentration_in_log_space(self, cfg):
+    def test_concentration_in_log_space(self):
         frame = PacketFrame(0.01, 0.0)
-        gap = log_envelope_sq(0.5, frame, cfg) - log_envelope_sq(0.01, frame, cfg)
+        gap = log_envelope_sq(0.5, frame) - log_envelope_sq(0.01, frame)
         assert gap < -100 * math.log(10.0)  # ratio below 1e-100
 
-    def test_domain(self, cfg):
+    def test_domain(self):
         with pytest.raises(DomainError):
-            envelope_sq(theta_c(0.0) + 0.2, PacketFrame(1.0, 0.0), cfg)
+            envelope_sq(theta_c(0.0) + 0.2, PacketFrame(1.0, 0.0))
