@@ -29,13 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceError, DomainError, IntegrityError, NotAChannelError,
-                     RangeError)
+from .errors import (BoostcapError, ConvergenceError, DomainError, IntegrityError,
+                     NotAChannelError, RangeError)
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, geometric_refinement, integrate,
                          integrate_batch)
 from .special_functions import _agm_ked, _elliptic_ked, erf_family, erfi, hyp2f2_11_52_3
-from .wavepacket import (PacketFrame, kernel_values, normalization, theta_breakpoints,
-                         theta_c)
+from .wavepacket import (PacketFrame, frame_coefficients, frames_kernel_values, kernel_values,
+                         normalization, theta_breakpoints, theta_c)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -286,41 +286,69 @@ def _nested_integral(frame: PacketFrame, cfg: QuadratureConfig, kind: str) -> fl
     return val
 
 
+def _closed_integrals(frames: list[PacketFrame], cfg: QuadratureConfig) -> list[dict]:
+    """The fast path's frame integrals of every frame, in one worklist.
+
+    Each frame is one problem over its own [0, theta_c) with its own seeds,
+    heap, tolerance and budget; the rows K (g2, g5, g6, 1) of all frames'
+    nodes are evaluated in one call, with the closed profiles' AGM on the
+    whole array.  A frame's integrals are bit-identical to those of its
+    one-frame call, which goes through :func:`integrate` and
+    :func:`kernel_values`.  A failed polar integral raises a
+    ConvergenceError that names its frame and carries its index.
+    """
+    def rows(ts: np.ndarray, kv: np.ndarray) -> np.ndarray:
+        return kv * np.array([*_closed_rows(ts), np.ones_like(ts)])
+
+    try:
+        if len(frames) == 1:
+            frame = frames[0]
+            vals, _ = integrate(lambda ts: rows(ts, kernel_values(ts, frame)), 0.0,
+                                theta_c(frame.zeta), cfg, breakpoints=theta_breakpoints(frame))
+            vals = vals[None, :]
+        else:
+            # each node's frame coefficients, gathered from one row per frame
+            table = np.array([frame_coefficients(f) for f in frames]).T
+            vals, _ = integrate_batch(
+                lambda ts, idx: rows(ts, frames_kernel_values(ts, *table[:, idx])),
+                [0.0] * len(frames), [theta_c(f.zeta) for f in frames], cfg,
+                [theta_breakpoints(f) for f in frames])
+    except ConvergenceError as exc:
+        problem = exc.problem or 0
+        raise _located(f"polar integral at {frames[problem]!r}", exc, cfg,
+                       problem=problem) from exc
+    return [{"g2_cos": g2, "g5_sqrt": g5, "g6_sqrt": g6, "norm": 2.0 * math.pi * n_val}
+            for g2, g5, g6, n_val in vals.tolist()]
+
+
+# the method key of a frame's per-kind memo of oracle integrals
+_ORACLE_KINDS = "oracle kinds"
+
+
 @functools.lru_cache(maxsize=512)
 def _frame_integrals(gamma: float, zeta: float, cfg: QuadratureConfig, method: str) -> dict:
     """Kernel-weighted angular integrals of the profiles, plus N.
 
     The fast path integrates K (g2, g5, g6, 1) in one vector-valued pass, so
-    N's quadrature error correlates with that of the numerators.
+    N's quadrature error correlates with that of the numerators; it is the
+    one-frame call of :func:`_closed_integrals`.  The oracle records every
+    kind it integrates in the frame's per-kind memo, ``method="oracle
+    kinds"``, which lives in this cache so that ``cache_clear`` drops it too.
     """
     frame = PacketFrame(gamma, zeta)
     if method == "closed_profile":
-        def rows(ts: np.ndarray) -> np.ndarray:
-            return kernel_values(ts, frame) * np.array([*_closed_rows(ts), np.ones_like(ts)])
-
-        vals, _ = integrate(rows, 0.0, theta_c(zeta), cfg,
-                            breakpoints=theta_breakpoints(frame))
-        g2, g5, g6, n_val = vals.tolist()
-        return {"g2_cos": g2, "g5_sqrt": g5, "g6_sqrt": g6, "norm": 2.0 * math.pi * n_val}
+        return _closed_integrals([frame], cfg)[0]
+    if method == _ORACLE_KINDS:
+        return {}
     if method != "quadrature":
         raise DomainError(f"unknown lambda method {method!r}")
     out = {kind: _nested_integral(frame, cfg, kind) for kind in PROFILE_KINDS}
+    _frame_integrals(gamma, zeta, cfg, _ORACLE_KINDS).update(out)
     out["norm"] = normalization(frame, "quadrature", cfg)
     return out
 
 
-def lambda_numeric(frame: PacketFrame, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                   method: str = "quadrature") -> PauliLambda:
-    """Channel eigenvalues by angular integration.
-
-    ``method="quadrature"`` is the baseline (azimuthal integrals by adaptive
-    quadrature at every polar node); ``method="closed_profile"`` replaces
-    the azimuthal integrals with their elliptic closed forms and is used by
-    sweeps and solvers.  Eigenvalue excursions past [-1, 1] or outside the
-    probability simplex beyond 1e-9 raise IntegrityError; smaller ones are
-    clamped (quadrature noise).
-    """
-    ints = _frame_integrals(frame.gamma, frame.zeta, cfg, method)
+def _pauli_lambda(frame: PacketFrame, ints: dict) -> PauliLambda:
     n = ints["norm"]
     raw = (2.0 * ints["g5_sqrt"] / n,
            -2.0 * ints["g6_sqrt"] / n,
@@ -334,6 +362,47 @@ def lambda_numeric(frame: PacketFrame, cfg: QuadratureConfig = DEFAULT_CONFIG,
         raise IntegrityError(f"complete positivity violated at {frame!r}: {exc}") from exc
 
 
+def lambda_numeric(frame: PacketFrame, cfg: QuadratureConfig = DEFAULT_CONFIG,
+                   method: str = "quadrature") -> PauliLambda:
+    """Channel eigenvalues by angular integration.
+
+    ``method="quadrature"`` is the baseline (azimuthal integrals by adaptive
+    quadrature at every polar node); ``method="closed_profile"`` replaces
+    the azimuthal integrals with their elliptic closed forms and is used by
+    sweeps and solvers.  Eigenvalue excursions past [-1, 1] or outside the
+    probability simplex beyond 1e-9 raise IntegrityError; smaller ones are
+    clamped (quadrature noise).
+    """
+    return _pauli_lambda(frame, _frame_integrals(frame.gamma, frame.zeta, cfg, method))
+
+
+def lambda_batch(frames: list[PacketFrame],
+                 cfg: QuadratureConfig) -> list[PauliLambda | BoostcapError]:
+    """Fast-path eigenvalues of many frames from one batched worklist.
+
+    Each frame's entry is bit-identical to ``lambda_numeric(frame, cfg,
+    "closed_profile")``, or is the error that belongs to that frame: a
+    polar integral that did not converge (the batch is then run again
+    without it, so each such frame costs one more pass) or eigenvalues that
+    fail the channel checks.  Any other error propagates.
+    """
+    out: list = [None] * len(frames)
+    live = list(range(len(frames)))
+    while live:
+        try:
+            ints = _closed_integrals([frames[k] for k in live], cfg)
+        except ConvergenceError as exc:
+            out[live.pop(exc.problem)] = exc
+            continue
+        for k, frame_ints in zip(live, ints):
+            try:
+                out[k] = _pauli_lambda(frames[k], frame_ints)
+            except IntegrityError as exc:
+                out[k] = exc
+        break
+    return out
+
+
 def identity_residuals(frame: PacketFrame,
                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float]:
     """|LHS - RHS| of the two diagonal-consistency identities.
@@ -344,9 +413,12 @@ def identity_residuals(frame: PacketFrame,
     :func:`rho_direct` assembles, so the identities are checked on the
     integrals whose trace they guarantee.
     """
-    ints = _frame_integrals(frame.gamma, frame.zeta, cfg, "quadrature")
-    return (abs(ints["g1_cos"] - ints["g3_sin"]),
-            abs(ints["g2_cos"] + ints["g4_sin"]))
+    memo = _frame_integrals(frame.gamma, frame.zeta, cfg, _ORACLE_KINDS)
+    for kind in PROFILE_KINDS[:4]:
+        if kind not in memo:
+            memo[kind] = _nested_integral(frame, cfg, kind)
+    return (abs(memo["g1_cos"] - memo["g3_sin"]),
+            abs(memo["g2_cos"] + memo["g4_sin"]))
 
 
 def apply_pauli(lam: PauliLambda, state: QubitState) -> np.ndarray:

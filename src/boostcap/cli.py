@@ -122,7 +122,7 @@ def _run_sweep_command(args, axis: str) -> int:
     spec = SweepSpec(axis=axis, start=args.start, stop=args.stop,
                      steps=args.steps, fixed=fixed)
     manifest = make_manifest(spec, cfg, args.lambda_method)
-    rows = run_sweep(spec, cfg, args.lambda_method, jobs=args.jobs)
+    rows = run_sweep(spec, cfg, args.lambda_method)
     check_no_nan(rows)
     emitted = False
     if args.out:
@@ -151,8 +151,6 @@ def _add_sweep_args(p: argparse.ArgumentParser) -> None:
                                  "<out>.manifest.json)")
     p.add_argument("--json", help="JSON output path (manifest embedded)")
     p.add_argument("--svg", help="SVG plot path (capacity curves vs axis)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: machine parallelism)")
 
 
 def _cmd_verify(args) -> int:

@@ -14,7 +14,9 @@ makes repeated runs bit-identical.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -82,7 +84,11 @@ SWEEP_CONFIG = QuadratureConfig(rel_tol=1e-8)
 
 
 def _gk15(f: Callable[[np.ndarray], np.ndarray], lows: np.ndarray, highs: np.ndarray):
-    """Apply the 7-15 pair to a batch of intervals with one integrand call."""
+    """The integrand at the 7-15 nodes of a batch of intervals, from one call.
+
+    Returns the values with the nodes last: shape (n, 15), or (k, n, 15) for
+    k rows.
+    """
     half = 0.5 * (highs - lows)
     mid = 0.5 * (highs + lows)
     x = mid[:, None] + half[:, None] * _NODES[None, :]
@@ -91,6 +97,16 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], lows: np.ndarray, highs: np.nda
     if not np.all(np.isfinite(fx)):
         bad = np.broadcast_to(x, fx.shape)[~np.isfinite(fx)][0]
         raise DomainError(f"integrand returned a non-finite value at x={bad!r}")
+    return fx
+
+
+def _rule(fx: np.ndarray, lows: np.ndarray, highs: np.ndarray):
+    """The pair's estimate and error bound of every interval of ``fx``.
+
+    ``fx`` may also be a stack of k rows of P problems' m intervals each,
+    shape (k, P, m, 15), with ``lows`` and ``highs`` of shape (P, m).
+    """
+    half = 0.5 * (highs - lows)
     resk = half * (fx @ _WK)
     resg = half * (fx @ _WG_FULL)
     resabs = np.abs(half) * (np.abs(fx) @ _WK)
@@ -103,7 +119,9 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], lows: np.ndarray, highs: np.nda
     err = np.where(nz, resasc * scale, err)
     floor = resabs > _TINY / (50.0 * _EPS)
     err[floor] = np.maximum(err[floor], 50.0 * _EPS * resabs[floor])
-    return resk.T, err.T                # indexed by interval first
+    # indexed by interval first (by problem, then interval, for a stack)
+    order = (*range(1, resk.ndim), 0)
+    return resk.transpose(order), err.transpose(order)
 
 
 def integrate(
@@ -131,16 +149,20 @@ def integrate_batch(
     cfg: QuadratureConfig,
     breakpoints: Sequence[Sequence[float] | None],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate P independent scalar problems, problem p over [a[p], b[p]].
+    """Integrate P independent problems, problem p over [a[p], b[p]].
 
     ``f(x, idx)`` receives the abscissae of every problem at once and, per
-    abscissa, the index of its problem.  Each problem keeps its own seeds
+    abscissa, the index of its problem; it returns shape (n,), or (k, n)
+    for k rows per problem.  Each problem keeps its own seeds
     (``breakpoints[p]``), worklist, tolerance test and subdivision budget;
     each round bisects the worst interval of every unconverged problem, and
-    all new intervals share one integrand call.  Returns estimates and
-    bounds as arrays of shape (P,); a zero-width problem integrates to 0.
-    The first problem (in index order) to exhaust its budget raises
-    :class:`ConvergenceError` with its own estimate, bound and index.
+    all new intervals share one integrand call.  Rows-valued problems are
+    reduced one problem at a time, so each gets the bits that
+    :func:`integrate` gives it alone.  Returns estimates and bounds as
+    arrays of shape (P,), or (P, k); a zero-width scalar problem integrates
+    to 0.  The first problem to exhaust its budget, the lowest index among
+    those that exhaust it in the same round, raises :class:`ConvergenceError`
+    with its own estimate, bound and index.
     """
     pairs = _worklist(f, a, b, cfg, breakpoints, indexed=True)
     return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
@@ -173,14 +195,13 @@ def _worklist(f, a, b, cfg, breakpoints, indexed):
         lows, highs = np.array(lows), np.array(highs)
         if indexed:
             idx = np.repeat(owners, 15)
-            vals, errs = _gk15(lambda x: f(x, idx), lows, highs)
+            fx = _gk15(lambda x: f(x, idx), lows, highs)
         else:
-            vals, errs = _gk15(f, lows, highs)
-        i = 0
-        for p, (loop, (los, _)) in rounds:
-            j = i + len(los)
+            fx = _gk15(f, lows, highs)
+        shares = _shares(fx, lows, highs, [len(los) for _, (_, (los, _)) in rounds])
+        for (p, (loop, _)), share in zip(rounds, shares):
             try:
-                pending[p] = loop, loop.send((vals[i:j], errs[i:j]))
+                pending[p] = loop, loop.send(share)
             except StopIteration as done:
                 del pending[p]
                 total, total_err, converged = done.value
@@ -190,8 +211,32 @@ def _worklist(f, a, b, cfg, breakpoints, indexed):
                         estimate=total, error_bound=total_err,
                         problem=p if indexed else None) from None
                 results[p] = total, total_err
-            i = j
     return results
+
+
+def _shares(fx, lows, highs, counts):
+    """Each problem's (values, errors) of one round, ``counts[p]`` intervals each.
+
+    A BLAS mat-vec rounds a row according to where it sits in its matrix,
+    so rows-valued problems are reduced as matrices of their own, which
+    gives each the bits it gets alone; problems with equally many intervals
+    go through one stacked reduction.  Scalar problems share one reduction,
+    and so does a problem alone.
+    """
+    if fx.ndim == 2 or len(counts) == 1:
+        vals, errs = _rule(fx, lows, highs)
+        bounds = list(itertools.accumulate(counts, initial=0))
+        return [(vals[i:j], errs[i:j]) for i, j in zip(bounds, bounds[1:])]
+    starts = np.cumsum([0] + counts[:-1])
+    shares = [None] * len(counts)
+    for m in set(counts):
+        members = [p for p, c in enumerate(counts) if c == m]
+        picks = (starts[members][:, None] + np.arange(m)).ravel()
+        vals, errs = _rule(fx[:, picks].reshape(len(fx), len(members), m, 15),
+                           lows[picks].reshape(-1, m), highs[picks].reshape(-1, m))
+        for p, v, e in zip(members, vals, errs):
+            shares[p] = v, e
+    return shares
 
 
 def _refine(cfg, a, b, breakpoints):
@@ -208,28 +253,33 @@ def _refine(cfg, a, b, breakpoints):
     edges = sorted(set(edges))
     lows, highs = edges[:-1], edges[1:]
     vals, errs = yield lows, highs
-    # heap keys and endpoints, and scalar values, are plain floats: cheaper
-    # heap entries and sums, with the same values
+    # heap entries, endpoints and running sums are plain floats, or lists of
+    # floats for rows: cheaper than numpy scalars, with the same values
+    total, total_err = vals.sum(axis=0).tolist(), errs.sum(axis=0).tolist()
     if vals.ndim == 1:
-        plain = lambda x: x.tolist()  # noqa: E731
+        sub = operator.sub
+        advance = lambda t, a, b, old: t + ((a + b) - old)  # noqa: E731
         priority = lambda e: e  # noqa: E731
         within_tol = lambda t, e: e <= max(cfg.abs_tol, cfg.rel_tol * abs(t))  # noqa: E731
         fsum = math.fsum
+        result = lambda t: t  # noqa: E731
     else:
-        plain = lambda x: x  # noqa: E731
+        sub = lambda x, y: [p - q for p, q in zip(x, y)]  # noqa: E731
+        advance = lambda t, a, b, old: [  # noqa: E731
+            ti + ((ai + bi) - oi) for ti, ai, bi, oi in zip(t, a, b, old)]
         # components differ in scale, so an interval ranks by its largest
         # error relative to that component's tolerance after the first pass
-        weight = 1.0 / np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(vals.sum(axis=0)))
-        priority = lambda e: (e * weight).max(axis=1).tolist()  # noqa: E731
-        within_tol = lambda t, e: bool(np.all(  # noqa: E731
-            e <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(t))))
-        fsum = lambda parts: np.array([math.fsum(c) for c in zip(*parts)])  # noqa: E731
+        weight = (1.0 / np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(vals.sum(axis=0)))).tolist()
+        priority = lambda e: max(map(operator.mul, e, weight))  # noqa: E731
+        within_tol = lambda t, e: all(  # noqa: E731
+            ei <= cfg.abs_tol or ei <= cfg.rel_tol * abs(ti) for ti, ei in zip(t, e))
+        fsum = lambda parts: [math.fsum(c) for c in zip(*parts)]  # noqa: E731
+        result = np.array
 
     # (-priority, left endpoint) ordering makes the splitting sequence unique.
-    heap = list(zip([-k for k in priority(plain(errs))], lows, highs, plain(vals), plain(errs)))
+    heap = [(-priority(e), lo, hi, v, e)
+            for lo, hi, v, e in zip(lows, highs, vals.tolist(), errs.tolist())]
     heapq.heapify(heap)
-    total = plain(vals.sum(axis=0))
-    total_err = plain(errs.sum(axis=0))
     n_sub = len(heap)
 
     def resum():
@@ -242,29 +292,29 @@ def _refine(cfg, a, b, breakpoints):
         if within_tol(total, total_err):
             total, total_err = resum()
             if within_tol(total, total_err):
-                return total, total_err, True
+                return result(total), result(total_err), True
             continue
         if n_sub >= cfg.max_subdivisions:
             total, total_err = resum()
-            return total, total_err, False
+            return result(total), result(total_err), False
         neg_key, lo, hi, val, err = heapq.heappop(heap)
         m = 0.5 * (lo + hi)
         if neg_key == 0.0:
             # only unsplittable or converged intervals remain
             heapq.heappush(heap, (neg_key, lo, hi, val, err))
             total, total_err = resum()
-            return total, total_err, True
+            return result(total), result(total_err), True
         if m <= lo or m >= hi:
             # interval at floating point resolution: accept its estimate
-            heapq.heappush(heap, (0.0, lo, hi, val, 0.0 * err))
-            total_err -= err  # remove its error from the budget
+            heapq.heappush(heap, (0.0, lo, hi, val, sub(err, err)))
+            total_err = sub(total_err, err)  # remove its error from the budget
             continue
-        v2, e2 = map(plain, (yield [lo, m], [m, hi]))
-        k2 = priority(e2)
-        total += (v2[0] + v2[1]) - val
-        total_err += (e2[0] + e2[1]) - err
-        heapq.heappush(heap, (-k2[0], lo, m, v2[0], e2[0]))
-        heapq.heappush(heap, (-k2[1], m, hi, v2[1], e2[1]))
+        v2, e2 = yield [lo, m], [m, hi]
+        v2, e2 = v2.tolist(), e2.tolist()
+        total = advance(total, v2[0], v2[1], val)
+        total_err = advance(total_err, e2[0], e2[1], err)
+        heapq.heappush(heap, (-priority(e2[0]), lo, m, v2[0], e2[0]))
+        heapq.heappush(heap, (-priority(e2[1]), m, hi, v2[1], e2[1]))
         n_sub += 1
 
 

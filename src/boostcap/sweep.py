@@ -2,10 +2,10 @@
 
 A sweep evaluates the channel and its capacity bounds on a uniform grid
 along one axis (inverse spread at fixed rapidity, or rapidity at fixed
-inverse spread).  Rows are emitted in grid order regardless of worker
-completion order, numeric cells carry 17 significant digits, and a manifest
-(tool version, quadrature settings, resolved conventions) accompanies every
-data file; identical manifests imply byte-identical CSV output.
+inverse spread), in one process.  Rows are emitted in grid order, numeric
+cells carry 17 significant digits, and a manifest (tool version, quadrature
+settings, resolved conventions) accompanies every data file; identical
+manifests imply byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 
 from . import __version__
 from .capacity import capacity_report
-from .channel import PacketFrame, lambda_numeric, lambda_probs
+from .channel import PacketFrame, PauliLambda, lambda_batch, lambda_numeric, lambda_probs
 from .errors import BoostcapError, DomainError
 from .quadrature import QuadratureConfig, SWEEP_CONFIG
 
@@ -47,6 +46,10 @@ COLUMNS = (
 )
 
 _FLOAT_COLUMNS = frozenset(COLUMNS[1:14])
+
+# grid points per batched fast-path worklist; it bounds the heaps and node
+# arrays alive at once, and so the sweep's peak memory
+CHUNK_FRAMES = 32
 
 
 @dataclass(frozen=True)
@@ -112,43 +115,58 @@ def make_manifest(spec: SweepSpec, cfg: QuadratureConfig, method: str) -> RunMan
 
 def _eval_point(args: tuple) -> dict:
     index, inv_gamma, zeta, cfg, method = args
-    row = {"index": index, "inv_gamma": inv_gamma, "zeta": zeta, "status": "ok"}
     try:
         lam = lambda_numeric(PacketFrame(1.0 / inv_gamma, zeta), cfg, method)
-        rep = capacity_report(lam)
-        p = lambda_probs(lam)
-        row.update(l1=lam.l1, l2=lam.l2, l3=lam.l3,
-                   p0=p.p0, p1=p.p1, p2=p.p2, p3=p.p3,
-                   classical_capacity=rep.classical, hashing_raw=rep.hashing_raw,
-                   hashing=rep.hashing, cerf=rep.cerf,
-                   cerf_zero_capacity=rep.cerf_zero_capacity,
-                   entanglement_breaking=rep.entanglement_breaking)
     except BoostcapError as exc:
-        row["status"] = f"error:{type(exc).__name__}"
+        lam = exc
+    return _row(index, inv_gamma, zeta, lam)
+
+
+def _row(index: int, inv_gamma: float, zeta: float, lam: PauliLambda | BoostcapError) -> dict:
+    row = {"index": index, "inv_gamma": inv_gamma, "zeta": zeta, "status": "ok"}
+    if isinstance(lam, BoostcapError):
+        row["status"] = f"error:{type(lam).__name__}"
+        return row
+    rep = capacity_report(lam)
+    p = lambda_probs(lam)
+    row.update(l1=lam.l1, l2=lam.l2, l3=lam.l3,
+               p0=p.p0, p1=p.p1, p2=p.p2, p3=p.p3,
+               classical_capacity=rep.classical, hashing_raw=rep.hashing_raw,
+               hashing=rep.hashing, cerf=rep.cerf,
+               cerf_zero_capacity=rep.cerf_zero_capacity,
+               entanglement_breaking=rep.entanglement_breaking)
     return row
+
+
+def _eval_chunk(points: list[tuple], cfg: QuadratureConfig) -> list[dict]:
+    """Fast-path rows of a few grid points from one batched worklist."""
+    try:
+        lams = lambda_batch([PacketFrame(1.0 / ig, z) for _, ig, z in points], cfg)
+    except BoostcapError:
+        # not an error of one frame: each point on its own flags its own
+        return [_eval_point((i, ig, z, cfg, "closed_profile")) for i, ig, z in points]
+    return [_row(i, ig, z, lam) for (i, ig, z), lam in zip(points, lams)]
 
 
 def run_sweep(spec: SweepSpec, cfg: QuadratureConfig = SWEEP_CONFIG,
               method: str = "closed_profile", jobs: int | None = None) -> list[dict]:
-    """Evaluate the sweep grid; failed points are flagged rows, not run failures.
+    """Evaluate the sweep grid in this process; failed points are flagged rows.
 
-    ``jobs`` worker processes (default: the machine's parallelism), never
-    more than there are grid points; ``jobs < 1`` raises DomainError.
+    The fast path (``closed_profile``) runs batched worklists of at most
+    ``CHUNK_FRAMES`` grid points, bit-identical to one point at a time;
+    ``quadrature`` evaluates one point at a time.  ``jobs`` is accepted and
+    ignored: sweeps start no worker processes, and callers that still pass
+    it keep working.
     """
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise DomainError(f"jobs must be at least 1, got {jobs!r}")
-    tasks = []
+    points = []
     for i, x in enumerate(spec.grid()):
         inv_gamma, zeta = (x, spec.fixed) if spec.axis == "inv_gamma" else (spec.fixed, x)
-        tasks.append((i, inv_gamma, zeta, cfg, method))
-    jobs = min(jobs, len(tasks))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_eval_point, tasks, chunksize=1))
-    else:
-        rows = [_eval_point(t) for t in tasks]
+        points.append((i, inv_gamma, zeta))
+    if method != "closed_profile":
+        return [_eval_point((i, ig, z, cfg, method)) for i, ig, z in points]
+    rows = []
+    for start in range(0, len(points), CHUNK_FRAMES):
+        rows += _eval_chunk(points[start:start + CHUNK_FRAMES], cfg)
     return rows
 
 

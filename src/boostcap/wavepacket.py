@@ -58,26 +58,40 @@ def d_values(thetas: np.ndarray, zeta: float) -> np.ndarray:
     """sinh(zeta) + cosh(zeta) cos(theta), evaluated as e^zeta - 2 cosh(zeta)
     sin^2(theta/2) so the cancellation approaching the cutoff keeps absolute
     accuracy ~eps * e^zeta instead of ~eps * cosh(zeta)."""
-    t = np.asarray(thetas, dtype=float)
+    return _d(np.asarray(thetas, dtype=float), math.exp(zeta), math.cosh(zeta))
+
+
+def _d(t: np.ndarray, exp_zeta, cosh_zeta) -> np.ndarray:
     half_sin = np.sin(0.5 * t)
-    return math.exp(zeta) - 2.0 * math.cosh(zeta) * half_sin * half_sin
+    return exp_zeta - 2.0 * cosh_zeta * half_sin * half_sin
 
 
-def log_kernel_values(thetas: np.ndarray, frame: PacketFrame) -> np.ndarray:
-    """log K on an array of angles assumed inside [0, theta_c); -inf where K = 0."""
-    t = np.asarray(thetas, dtype=float)
-    st = np.sin(t)
-    d = d_values(t, frame.zeta)
-    out = np.full(t.shape, -np.inf)
-    ok = (d > 0.0) & (st > 0.0)
-    g2 = frame.gamma * frame.gamma
-    out[ok] = (-(st[ok] * st[ok]) / (g2 * d[ok] * d[ok])
-               + np.log(st[ok]) - 2.0 * np.log(d[ok]))
-    return out
+def frame_coefficients(frame: PacketFrame) -> tuple[float, float, float]:
+    """(e^zeta, cosh zeta, Gamma^2): the frame's scalars in the kernel.
+
+    They come from libm, once per frame; numpy's vectorized exp can differ
+    in the last bit, so kernels of many frames in one array are built from
+    these.
+    """
+    return math.exp(frame.zeta), math.cosh(frame.zeta), frame.gamma * frame.gamma
 
 
 def kernel_values(thetas: np.ndarray, frame: PacketFrame) -> np.ndarray:
-    lk = log_kernel_values(thetas, frame)
+    return frames_kernel_values(np.asarray(thetas, dtype=float), *frame_coefficients(frame))
+
+
+def frames_kernel_values(t: np.ndarray, exp_zeta, cosh_zeta, gamma_sq) -> np.ndarray:
+    """K at every angle of ``t``, assumed inside [0, theta_c), from
+    :func:`frame_coefficients` given per angle (arrays, for the nodes of many
+    frames at once) or shared (scalars); computed in log space."""
+    st = np.sin(t)
+    d = _d(t, exp_zeta, cosh_zeta)
+    lk = np.full(t.shape, -np.inf)
+    ok = (d > 0.0) & (st > 0.0)
+    if isinstance(gamma_sq, np.ndarray):
+        gamma_sq = gamma_sq[ok]
+    lk[ok] = (-(st[ok] * st[ok]) / (gamma_sq * d[ok] * d[ok])
+              + np.log(st[ok]) - 2.0 * np.log(d[ok]))
     out = np.zeros_like(lk)
     live = lk > _LOG_TINY
     out[live] = np.exp(lk[live])

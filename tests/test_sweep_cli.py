@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from boostcap import sweep
+from boostcap import channel, sweep
+from boostcap.channel import PacketFrame, lambda_numeric
 from boostcap.cli import _quadrature_from, build_parser, main
 from boostcap.errors import DomainError
 from boostcap.sweep import (COLUMNS, SweepSpec, check_no_nan, load_config_file,
@@ -76,38 +77,25 @@ class TestSweepRun:
         assert rows[0]["hashing"] > 0.0          # strongly boosted
         assert rows[-1]["hashing"] == 0.0        # at rest, zero capacity packet
 
-    def test_jobs_bound_the_pool(self, monkeypatch):
-        # a fake executor records the pool size and runs serially: no process
-        # is started
-        sizes = []
+    def test_jobs_is_ignored(self, monkeypatch):
+        # sweeps run in this process: rows do not depend on jobs, no process
+        # pool is reachable from the module, and the CLI has no --jobs
+        import concurrent.futures
 
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a sweep started a process pool")
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert not any(name == "ProcessPoolExecutor" or value is concurrent.futures
+                       for name, value in vars(sweep).items())
         spec = SweepSpec(axis="inv_gamma", start=0.2, stop=0.4, steps=3, fixed=0.0)
-        serial = run_sweep(spec, SWEEP_CONFIG, jobs=1)
-        assert sizes == []
-        assert run_sweep(spec, SWEEP_CONFIG, jobs=5000) == serial
-        assert run_sweep(spec, SWEEP_CONFIG) == serial
-        assert sizes == [3, 2]
-        for jobs in (0, -3):
-            with pytest.raises(DomainError, match="jobs"):
-                run_sweep(spec, SWEEP_CONFIG, jobs=jobs)
-        assert main(["sweep-gamma", "--start", "0.2", "--stop", "0.4", "--steps", "3",
-                     "--zeta", "0", "--jobs", "0"]) == 2
-        assert sizes == [3, 2]
+        rows = run_sweep(spec, SWEEP_CONFIG)
+        for jobs in (None, 1, 2, 5000, 0, -3):
+            assert run_sweep(spec, SWEEP_CONFIG, "closed_profile", jobs) == rows
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-gamma", "--start", "0.2", "--stop", "0.4", "--steps", "3",
+                  "--zeta", "0", "--jobs", "2"])
+        assert exc.value.code == 2
 
     def test_failed_points_flagged_run_continues(self):
         from boostcap.quadrature import QuadratureConfig
@@ -119,6 +107,55 @@ class TestSweepRun:
         check_no_nan(rows)  # failed cells are empty, not NaN
         payload = render_csv(rows).decode()
         assert "error:ConvergenceError" in payload
+
+
+def _bits(rows: list[dict]) -> list[tuple]:
+    return [(r["status"],) + tuple(float.hex(r[c]) for c in ("l1", "l2", "l3"))
+            for r in rows]
+
+
+class TestBatchedSweep:
+    # grids longer than one chunk, so that a full and a short chunk both run
+    @pytest.mark.parametrize("spec", [
+        SweepSpec("inv_gamma", 0.001, 1.0, sweep.CHUNK_FRAMES + 8, -1.0),   # approaching
+        SweepSpec("inv_gamma", 0.001, 1.0, sweep.CHUNK_FRAMES + 8, 0.0),    # rest
+        SweepSpec("inv_gamma", 0.001, 1.0, sweep.CHUNK_FRAMES + 8, 1.0),    # receding
+        SweepSpec("zeta", -3.0, 2.0, sweep.CHUNK_FRAMES + 8, 0.5),
+    ])
+    def test_rows_are_those_of_one_frame_evaluation(self, spec):
+        # bitwise, which also guards the batch-wide stop of the elliptic AGM:
+        # a node's value must not depend on which other nodes share its call
+        rows = run_sweep(spec, SWEEP_CONFIG)
+        alone = [{"status": "ok", **dict(zip(
+            ("l1", "l2", "l3"),
+            lambda_numeric(PacketFrame(1.0 / r["inv_gamma"], r["zeta"]), SWEEP_CONFIG,
+                           "closed_profile").as_tuple()))} for r in rows]
+        assert _bits(rows) == _bits(alone)
+
+    def test_failed_point_is_flagged_and_leaves_the_others_alone(self, monkeypatch):
+        passes = []
+
+        def counting(frames, cfg):
+            passes.append(len(frames))
+            return closed_integrals(frames, cfg)
+
+        closed_integrals = channel._closed_integrals
+        monkeypatch.setattr(channel, "_closed_integrals", counting)
+        rows = run_sweep(SweepSpec("zeta", 2.0, 6.0, 5, 1e-4), SWEEP_CONFIG)
+        assert [r["status"] for r in rows] == ["ok"] * 4 + ["error:ConvergenceError"]
+        assert rows[4]["zeta"] == 6.0
+        assert all(rows[4].get(c) is None for c in COLUMNS[3:16])
+        # the failure costs one more pass over its chunk, without it
+        assert passes == [5, 4]
+        assert rows[:4] == run_sweep(SweepSpec("zeta", 2.0, 5.0, 4, 1e-4), SWEEP_CONFIG)
+
+    def test_point_without_a_frame_is_flagged(self):
+        # 1/inv_gamma overflows at the first point, so its chunk cannot be
+        # batched; each point of it is evaluated and flagged on its own
+        rows = run_sweep(SweepSpec("inv_gamma", 1e-320, 0.5, 3, 0.0), SWEEP_CONFIG)
+        assert [r["status"] for r in rows] == ["error:DomainError", "ok", "ok"]
+        assert rows == [sweep._eval_point((r["index"], r["inv_gamma"], r["zeta"],
+                                           SWEEP_CONFIG, "closed_profile")) for r in rows]
 
 
 class TestRendering:
@@ -214,7 +251,7 @@ class TestCli:
         jsn = tmp_path / "sweep.json"
         code = main(["sweep-gamma", "--start", "0.05", "--stop", "0.5",
                      "--steps", "4", "--zeta", "0", "--out", str(out),
-                     "--svg", str(svg), "--json", str(jsn), "--jobs", "1"])
+                     "--svg", str(svg), "--json", str(jsn)])
         assert code == 0
         payload = out.read_bytes()
         assert payload.splitlines()[0].decode() == ",".join(COLUMNS)
