@@ -392,7 +392,9 @@ def lambda_batch(frames: list[PacketFrame],
         try:
             ints = _closed_integrals([frames[k] for k in live], cfg)
         except ConvergenceError as exc:
-            out[live.pop(exc.problem)] = exc
+            k = live.pop(exc.problem)
+            exc.problem = k             # its index in ``frames``, not in this pass
+            out[k] = exc
             continue
         for k, frame_ints in zip(live, ints):
             try:

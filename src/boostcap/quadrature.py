@@ -259,10 +259,10 @@ def _refine(cfg, a, b, breakpoints):
     if vals.ndim == 1:
         sub = operator.sub
         advance = lambda t, a, b, old: t + ((a + b) - old)  # noqa: E731
-        priority = lambda e: e  # noqa: E731
+        priorities = lambda es: es  # noqa: E731
         within_tol = lambda t, e: e <= max(cfg.abs_tol, cfg.rel_tol * abs(t))  # noqa: E731
         fsum = math.fsum
-        result = lambda t: t  # noqa: E731
+        result = float
     else:
         sub = lambda x, y: [p - q for p, q in zip(x, y)]  # noqa: E731
         advance = lambda t, a, b, old: [  # noqa: E731
@@ -270,15 +270,15 @@ def _refine(cfg, a, b, breakpoints):
         # components differ in scale, so an interval ranks by its largest
         # error relative to that component's tolerance after the first pass
         weight = (1.0 / np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(vals.sum(axis=0)))).tolist()
-        priority = lambda e: max(map(operator.mul, e, weight))  # noqa: E731
+        priorities = lambda es: [max(map(operator.mul, e, weight)) for e in es]  # noqa: E731
         within_tol = lambda t, e: all(  # noqa: E731
             ei <= cfg.abs_tol or ei <= cfg.rel_tol * abs(ti) for ti, ei in zip(t, e))
         fsum = lambda parts: [math.fsum(c) for c in zip(*parts)]  # noqa: E731
         result = np.array
 
     # (-priority, left endpoint) ordering makes the splitting sequence unique.
-    heap = [(-priority(e), lo, hi, v, e)
-            for lo, hi, v, e in zip(lows, highs, vals.tolist(), errs.tolist())]
+    vals, errs = vals.tolist(), errs.tolist()
+    heap = list(zip([-k for k in priorities(errs)], lows, highs, vals, errs))
     heapq.heapify(heap)
     n_sub = len(heap)
 
@@ -313,8 +313,9 @@ def _refine(cfg, a, b, breakpoints):
         v2, e2 = v2.tolist(), e2.tolist()
         total = advance(total, v2[0], v2[1], val)
         total_err = advance(total_err, e2[0], e2[1], err)
-        heapq.heappush(heap, (-priority(e2[0]), lo, m, v2[0], e2[0]))
-        heapq.heappush(heap, (-priority(e2[1]), m, hi, v2[1], e2[1]))
+        k2 = priorities(e2)
+        heapq.heappush(heap, (-k2[0], lo, m, v2[0], e2[0]))
+        heapq.heappush(heap, (-k2[1], m, hi, v2[1], e2[1]))
         n_sub += 1
 
 
