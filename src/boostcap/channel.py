@@ -292,10 +292,11 @@ def _closed_integrals(frames: list[PacketFrame], cfg: QuadratureConfig) -> list[
     Each frame is one problem over its own [0, theta_c) with its own seeds,
     heap, tolerance and budget; the rows K (g2, g5, g6, 1) of all frames'
     nodes are evaluated in one call, with the closed profiles' AGM on the
-    whole array.  A frame's integrals are bit-identical to those of its
-    one-frame call, which goes through :func:`integrate` and
-    :func:`kernel_values`.  A failed polar integral raises a
-    ConvergenceError that names its frame and carries its index.
+    whole array.  Every frame gets the bits it gets alone, so the one-frame
+    call through :func:`integrate` and :func:`kernel_values` is only a size
+    selection: it skips the per-node gather of frame coefficients.  A failed
+    polar integral raises a ConvergenceError that names its frame and
+    carries its index.
     """
     def rows(ts: np.ndarray, kv: np.ndarray) -> np.ndarray:
         return kv * np.array([*_closed_rows(ts), np.ones_like(ts)])

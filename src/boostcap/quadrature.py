@@ -8,7 +8,8 @@ so a single subdivision costs one vectorized call.  ``integrate_batch`` runs
 many independent problems in one worklist: each round bisects the worst
 interval of every unconverged problem, with one integrand call for all of
 them.  Splitting order is a pure function of a problem's own estimates, which
-makes repeated runs bit-identical.
+makes repeated runs bit-identical, and the GK15 rule reduces every interval
+on its own, so each problem of a batch gets the bits that it gets alone.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ _NODES = np.concatenate((-_XGK[:7], _XGK[::-1]))          # 15 ascending nodes
 _WK = np.concatenate((_WGK[:7], _WGK[::-1]))              # Kronrod weights
 _WG_FULL = np.zeros(15)
 _WG_FULL[1:14:2] = np.concatenate((_WG[:3], _WG[::-1]))   # Gauss weights
+_WKG = np.array([_WK, _WG_FULL])
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -103,15 +105,15 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], lows: np.ndarray, highs: np.nda
 def _rule(fx: np.ndarray, lows: np.ndarray, highs: np.ndarray):
     """The pair's estimate and error bound of every interval of ``fx``.
 
-    ``fx`` may also be a stack of k rows of P problems' m intervals each,
-    shape (k, P, m, 15), with ``lows`` and ``highs`` of shape (P, m).
+    Each interval's 15 values are contracted on their own, in a fixed order,
+    so an interval gets the same bits whatever else is in the batch.  Returns
+    arrays indexed by interval first: shape (n,), or (n, k) for k rows.
     """
     half = 0.5 * (highs - lows)
-    resk = half * (fx @ _WK)
-    resg = half * (fx @ _WG_FULL)
-    resabs = np.abs(half) * (np.abs(fx) @ _WK)
+    resk, resg = half * np.einsum("...n,wn->w...", fx, _WKG)
+    resabs = np.abs(half) * np.einsum("...n,n->...", np.abs(fx), _WK)
     mean = resk / (highs - lows)
-    resasc = np.abs(half) * (np.abs(fx - mean[..., None]) @ _WK)
+    resasc = np.abs(half) * np.einsum("...n,n->...", np.abs(fx - mean[..., None]), _WK)
     err = np.abs(resk - resg)
     scale = np.ones_like(err)
     nz = (resasc != 0) & (err != 0)
@@ -119,9 +121,7 @@ def _rule(fx: np.ndarray, lows: np.ndarray, highs: np.ndarray):
     err = np.where(nz, resasc * scale, err)
     floor = resabs > _TINY / (50.0 * _EPS)
     err[floor] = np.maximum(err[floor], 50.0 * _EPS * resabs[floor])
-    # indexed by interval first (by problem, then interval, for a stack)
-    order = (*range(1, resk.ndim), 0)
-    return resk.transpose(order), err.transpose(order)
+    return resk.T, err.T
 
 
 def integrate(
@@ -156,13 +156,13 @@ def integrate_batch(
     for k rows per problem.  Each problem keeps its own seeds
     (``breakpoints[p]``), worklist, tolerance test and subdivision budget;
     each round bisects the worst interval of every unconverged problem, and
-    all new intervals share one integrand call.  Rows-valued problems are
-    reduced one problem at a time, so each gets the bits that
-    :func:`integrate` gives it alone.  Returns estimates and bounds as
-    arrays of shape (P,), or (P, k); a zero-width scalar problem integrates
-    to 0.  The first problem to exhaust its budget, the lowest index among
-    those that exhaust it in the same round, raises :class:`ConvergenceError`
-    with its own estimate, bound and index.
+    all new intervals share one integrand call.  Every problem, scalar or
+    rows-valued, gets the bits that :func:`integrate` gives it alone.
+    Returns estimates and bounds as arrays of shape (P,), or (P, k); a
+    zero-width scalar problem integrates to 0.  The first problem to exhaust
+    its budget, the lowest index among those that exhaust it in the same
+    round, raises :class:`ConvergenceError` with its own estimate, bound and
+    index.
     """
     pairs = _worklist(f, a, b, cfg, breakpoints, indexed=True)
     return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
@@ -172,8 +172,8 @@ def _worklist(f, a, b, cfg, breakpoints, indexed):
     """The adaptive loop shared by :func:`integrate` and :func:`integrate_batch`.
 
     Every round gathers the intervals that each unfinished problem asks for
-    (first its seed partition, then one bisection), evaluates them in one
-    GK15 batch and hands each problem its share.
+    (first its seed partition, then one bisection), evaluates and reduces
+    them in one GK15 batch and hands each problem its slice.
     """
     results = [(0.0, 0.0)] * len(a)      # a zero-width problem integrates to 0
     pending = {}                         # problem -> (its loop, the intervals it asks for)
@@ -187,19 +187,22 @@ def _worklist(f, a, b, cfg, breakpoints, indexed):
             pending[p] = loop, next(loop)
     while pending:
         rounds = list(pending.items())
-        lows, highs, owners = [], [], []
-        for p, (_, (los, his)) in rounds:
+        lows, highs, counts = [], [], []
+        for _, (_, (los, his)) in rounds:
             lows += los
             highs += his
-            owners += [p] * len(los)
+            counts.append(len(los))
         lows, highs = np.array(lows), np.array(highs)
         if indexed:
-            idx = np.repeat(owners, 15)
+            idx = np.repeat(np.array([p for p, _ in rounds]), 15 * np.array(counts))
             fx = _gk15(lambda x: f(x, idx), lows, highs)
         else:
             fx = _gk15(f, lows, highs)
-        shares = _shares(fx, lows, highs, [len(los) for _, (_, (los, _)) in rounds])
-        for (p, (loop, _)), share in zip(rounds, shares):
+        vals, errs = _rule(fx, lows, highs)
+        start = 0
+        for (p, (loop, _)), end in zip(rounds, itertools.accumulate(counts)):
+            share = vals[start:end], errs[start:end]
+            start = end
             try:
                 pending[p] = loop, loop.send(share)
             except StopIteration as done:
@@ -212,31 +215,6 @@ def _worklist(f, a, b, cfg, breakpoints, indexed):
                         problem=p if indexed else None) from None
                 results[p] = total, total_err
     return results
-
-
-def _shares(fx, lows, highs, counts):
-    """Each problem's (values, errors) of one round, ``counts[p]`` intervals each.
-
-    A BLAS mat-vec rounds a row according to where it sits in its matrix,
-    so rows-valued problems are reduced as matrices of their own, which
-    gives each the bits it gets alone; problems with equally many intervals
-    go through one stacked reduction.  Scalar problems share one reduction,
-    and so does a problem alone.
-    """
-    if fx.ndim == 2 or len(counts) == 1:
-        vals, errs = _rule(fx, lows, highs)
-        bounds = list(itertools.accumulate(counts, initial=0))
-        return [(vals[i:j], errs[i:j]) for i, j in zip(bounds, bounds[1:])]
-    starts = np.cumsum([0] + counts[:-1])
-    shares = [None] * len(counts)
-    for m in set(counts):
-        members = [p for p, c in enumerate(counts) if c == m]
-        picks = (starts[members][:, None] + np.arange(m)).ravel()
-        vals, errs = _rule(fx[:, picks].reshape(len(fx), len(members), m, 15),
-                           lows[picks].reshape(-1, m), highs[picks].reshape(-1, m))
-        for p, v, e in zip(members, vals, errs):
-            shares[p] = v, e
-    return shares
 
 
 def _refine(cfg, a, b, breakpoints):

@@ -307,10 +307,10 @@ class TestOraclePinned:
     # oracle values of the version that ran one adaptive azimuthal integral
     # per polar node, at DEFAULT_CONFIG: eigenvalues, the six frame
     # integrals (g1..g6) and the identity residuals.  Batching the profiles
-    # changes no splitting decision; it changes the last bit of some GK15
-    # sums, because the GK15 reduction is a BLAS mat-vec whose rounding
-    # depends on the number of rows in the batch.  Measured: 53 of these 55
-    # values are bit-identical and the other two differ by 1.6e-16 relative.
+    # changes no splitting decision, and the GK15 rule reduces each interval
+    # on its own, so a batched profile has the bits of its one-node call.
+    # The rule's reduction order has changed since these were pinned, which
+    # moved some of them in their last bits, within 1e-15 relative.
     PINNED = (
         ((0.5, -2.0), (0.99999999999829092, 0.99999866162146189, 0.99999866161975293),
          (0.35553172366738944, 0.35553124783075329, 0.35553172366738944,

@@ -23,17 +23,14 @@ _ANGLES = st.one_of(st.floats(0.01, math.pi - 0.01),
        cuts=st.lists(st.integers(1, 7), max_size=3))
 def test_batched_profiles_match_one_node_calls(kind, thetas, cuts):
     # each azimuthal integral of a batch keeps its own partition and
-    # splitting order, so batching may move only the last bits of its GK15
-    # sums.  The tolerance is 1e-15 relative to max(|value|, pi): the g1
-    # and g3 profiles equal pi, and g2, g4 and g5 cancel towards 0 on the
-    # backward hemisphere, where a relative error means nothing
+    # splitting order, and the GK15 rule reduces every interval on its own,
+    # so a batched profile has exactly the bits of its one-node call
     bounds = sorted({0, len(thetas), *(c for c in cuts if c < len(thetas))})
     for lo, hi in zip(bounds, bounds[1:]):
         batch = thetas[lo:hi]
         got = channel._azimuthal_profiles(kind, batch, DEFAULT_CONFIG)
         for theta, value in zip(batch, got):
-            alone = channel.phi_profile(kind, theta, DEFAULT_CONFIG)
-            assert abs(value - alone) <= 1e-15 * max(abs(alone), math.pi), (kind, theta)
+            assert value == channel.phi_profile(kind, theta, DEFAULT_CONFIG), (kind, theta)
 
 
 @settings(derandomize=True, max_examples=50, deadline=None, database=None)
