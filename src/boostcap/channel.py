@@ -35,7 +35,7 @@ from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, geometric_refinement,
                          integrate_batch)
 from .special_functions import _agm_ked, _elliptic_ked, erf_family, erfi, hyp2f2_11_52_3
 from .wavepacket import (PacketFrame, frame_coefficients, frames_kernel_values, kernel_values,
-                         normalization, theta_breakpoints, theta_c)
+                         norm_scale, normalization, theta_breakpoints, theta_c)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -286,40 +286,63 @@ def _nested_integral(frame: PacketFrame, cfg: QuadratureConfig, kind: str) -> fl
     return val
 
 
+def _closed_seeds(frame: PacketFrame) -> list[float]:
+    """The fast path's polar seeds: :func:`theta_breakpoints` and, on receding
+    frames, geometric stacks toward pi/2 from both sides.
+
+    The g5 and g6 profiles are log-singular at t = pi/2; without the stacks
+    the adaptive rule spends most of a receding frame's bisections closing
+    in on it.
+    """
+    seeds = theta_breakpoints(frame)
+    tc = theta_c(frame.zeta)
+    if tc > math.pi / 2:
+        w = min(math.pi / 2, tc - math.pi / 2)
+        gaps = [w - p for p in geometric_refinement(0.0, w, 1e-6)]
+        seeds += [math.pi / 2 - g for g in gaps] + [math.pi / 2 + g for g in gaps]
+    return seeds
+
+
 def _closed_integrals(frames: list[PacketFrame], cfg: QuadratureConfig) -> list[dict]:
     """The fast path's frame integrals of every frame, in one worklist.
 
-    Each frame is one problem over its own [0, theta_c) with its own seeds,
-    heap, tolerance and budget; the rows K (g2, g5, g6, 1) of all frames'
-    nodes are evaluated in one call, with the closed profiles' AGM on the
-    whole array.  Every frame gets the bits it gets alone, so the one-frame
-    call through :func:`integrate` and :func:`kernel_values` is only a size
-    selection: it skips the per-node gather of frame coefficients.  A failed
-    polar integral raises a ConvergenceError that names its frame and
-    carries its index.
+    Each frame is one problem over its own [0, theta_c) with its own seeds
+    (:func:`_closed_seeds`), heap, tolerance and budget; the rows
+    s K (g2, g5, g6, 1) of all frames' nodes are evaluated in one call, with
+    the closed profiles' AGM on the whole array.  s is the frame's
+    :func:`norm_scale`, a power of two near 2 pi / N, so the N row
+    integrates to about 1 at every spread and ``cfg.abs_tol`` applies to
+    these N-scaled rows; the scale is divided out afterwards, exactly.
+    Every frame gets the bits it gets alone, so the one-frame call through
+    :func:`integrate` and :func:`kernel_values` is only a size selection: it
+    skips the per-node gather of frame coefficients.  A failed polar
+    integral raises a ConvergenceError that names its frame and carries its
+    index.
     """
+    scales = np.array([norm_scale(f.gamma) for f in frames])
+
     def rows(ts: np.ndarray, kv: np.ndarray) -> np.ndarray:
         return kv * np.array([*_closed_rows(ts), np.ones_like(ts)])
 
     try:
         if len(frames) == 1:
             frame = frames[0]
-            vals, _ = integrate(lambda ts: rows(ts, kernel_values(ts, frame)), 0.0,
-                                theta_c(frame.zeta), cfg, breakpoints=theta_breakpoints(frame))
+            vals, _ = integrate(lambda ts: rows(ts, scales[0] * kernel_values(ts, frame)), 0.0,
+                                theta_c(frame.zeta), cfg, breakpoints=_closed_seeds(frame))
             vals = vals[None, :]
         else:
             # each node's frame coefficients, gathered from one row per frame
             table = np.array([frame_coefficients(f) for f in frames]).T
             vals, _ = integrate_batch(
-                lambda ts, idx: rows(ts, frames_kernel_values(ts, *table[:, idx])),
+                lambda ts, idx: rows(ts, scales[idx] * frames_kernel_values(ts, *table[:, idx])),
                 [0.0] * len(frames), [theta_c(f.zeta) for f in frames], cfg,
-                [theta_breakpoints(f) for f in frames])
+                [_closed_seeds(f) for f in frames])
     except ConvergenceError as exc:
         problem = exc.problem or 0
         raise _located(f"polar integral at {frames[problem]!r}", exc, cfg,
-                       problem=problem) from exc
+                       1.0 / scales[problem], problem) from exc
     return [{"g2_cos": g2, "g5_sqrt": g5, "g6_sqrt": g6, "norm": 2.0 * math.pi * n_val}
-            for g2, g5, g6, n_val in vals.tolist()]
+            for g2, g5, g6, n_val in (vals / scales[:, None]).tolist()]
 
 
 # the method key of a frame's per-kind memo of oracle integrals
@@ -330,9 +353,10 @@ _ORACLE_KINDS = "oracle kinds"
 def _frame_integrals(gamma: float, zeta: float, cfg: QuadratureConfig, method: str) -> dict:
     """Kernel-weighted angular integrals of the profiles, plus N.
 
-    The fast path integrates K (g2, g5, g6, 1) in one vector-valued pass, so
-    N's quadrature error correlates with that of the numerators; it is the
-    one-frame call of :func:`_closed_integrals`.  The oracle records every
+    The fast path integrates s K (g2, g5, g6, 1), s a power of two near
+    2 pi / N, in one vector-valued pass, so N's quadrature error correlates
+    with that of the numerators; it is the one-frame call of
+    :func:`_closed_integrals`.  The oracle records every
     kind it integrates in the frame's per-kind memo, ``method="oracle
     kinds"``, which lives in this cache so that ``cache_clear`` drops it too.
     """
@@ -370,7 +394,10 @@ def lambda_numeric(frame: PacketFrame, cfg: QuadratureConfig = DEFAULT_CONFIG,
     ``method="quadrature"`` is the baseline (azimuthal integrals by adaptive
     quadrature at every polar node); ``method="closed_profile"`` replaces
     the azimuthal integrals with their elliptic closed forms and is used by
-    sweeps and solvers.  Eigenvalue excursions past [-1, 1] or outside the
+    sweeps and solvers; its ``cfg.abs_tol`` applies to N-scaled integrals
+    (see :func:`_closed_integrals`).  Validated domain: Gamma from 1e-3 to
+    1e4 and |zeta| <= 10, where the fast path converges at the default and
+    sweep configs.  Eigenvalue excursions past [-1, 1] or outside the
     probability simplex beyond 1e-9 raise IntegrityError; smaller ones are
     clamped (quadrature noise).
     """

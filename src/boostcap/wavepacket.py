@@ -55,37 +55,42 @@ def theta_c(zeta: float) -> float:
 
 
 def d_values(thetas: np.ndarray, zeta: float) -> np.ndarray:
-    """sinh(zeta) + cosh(zeta) cos(theta), evaluated as e^zeta - 2 cosh(zeta)
-    sin^2(theta/2) so the cancellation approaching the cutoff keeps absolute
-    accuracy ~eps * e^zeta instead of ~eps * cosh(zeta)."""
-    return _d(np.asarray(thetas, dtype=float), math.exp(zeta), math.cosh(zeta))
+    """sinh(zeta) + cosh(zeta) cos(theta), evaluated as -2 cosh(zeta)
+    sin((theta + theta_c)/2) sin((theta - theta_c)/2).
+
+    The product subtracts nothing nearly equal but theta - theta_c, which
+    is exact near the cutoff, so D keeps a relative accuracy of about
+    eps / (pi - theta_c) up to the cutoff (2.4e-12 at zeta = 10); the sum of
+    sinh(zeta) and cosh(zeta) cos(theta) keeps only ~eps * e^zeta absolute,
+    which is no relative accuracy at all as D falls to 0.
+    """
+    return _d(np.asarray(thetas, dtype=float), theta_c(zeta), math.cosh(zeta))
 
 
-def _d(t: np.ndarray, exp_zeta, cosh_zeta) -> np.ndarray:
-    half_sin = np.sin(0.5 * t)
-    return exp_zeta - 2.0 * cosh_zeta * half_sin * half_sin
+def _d(t: np.ndarray, cutoff, cosh_zeta) -> np.ndarray:
+    return -2.0 * cosh_zeta * np.sin(0.5 * (t + cutoff)) * np.sin(0.5 * (t - cutoff))
 
 
 def frame_coefficients(frame: PacketFrame) -> tuple[float, float, float]:
-    """(e^zeta, cosh zeta, Gamma^2): the frame's scalars in the kernel.
+    """(theta_c, cosh zeta, Gamma^2): the frame's scalars in the kernel.
 
-    They come from libm, once per frame; numpy's vectorized exp can differ
-    in the last bit, so kernels of many frames in one array are built from
-    these.
+    They come from libm, once per frame; numpy's vectorized functions can
+    differ in the last bit, so kernels of many frames in one array are built
+    from these.
     """
-    return math.exp(frame.zeta), math.cosh(frame.zeta), frame.gamma * frame.gamma
+    return theta_c(frame.zeta), math.cosh(frame.zeta), frame.gamma * frame.gamma
 
 
 def kernel_values(thetas: np.ndarray, frame: PacketFrame) -> np.ndarray:
     return frames_kernel_values(np.asarray(thetas, dtype=float), *frame_coefficients(frame))
 
 
-def frames_kernel_values(t: np.ndarray, exp_zeta, cosh_zeta, gamma_sq) -> np.ndarray:
+def frames_kernel_values(t: np.ndarray, cutoff, cosh_zeta, gamma_sq) -> np.ndarray:
     """K at every angle of ``t``, assumed inside [0, theta_c), from
     :func:`frame_coefficients` given per angle (arrays, for the nodes of many
     frames at once) or shared (scalars); computed in log space."""
     st = np.sin(t)
-    d = _d(t, exp_zeta, cosh_zeta)
+    d = _d(t, cutoff, cosh_zeta)
     lk = np.full(t.shape, -np.inf)
     ok = (d > 0.0) & (st > 0.0)
     if isinstance(gamma_sq, np.ndarray):
@@ -145,6 +150,21 @@ def normalization(frame: PacketFrame, method: str = "quadrature",
     val, _ = integrate(lambda t: kernel_values(t, frame), 0.0, tc, cfg,
                        breakpoints=theta_breakpoints(frame))
     return 2.0 * math.pi * val
+
+
+def norm_scale(gamma: float) -> float:
+    """A power of two within a factor 2 of 2*pi / N, from libm alone.
+
+    With x = 1/Gamma, 2*pi / N = 2 x / (sqrt(pi) erfcx(x)).  erfcx(x) is
+    exp(x^2) erfc(x), or its leading asymptotic term 1/(sqrt(pi) x) once
+    x >= 25, before erfc underflows; either is far closer than the rounding
+    to a power of two needs.  Multiplying by a power of two and dividing by
+    it again is exact, so an integrand scaled by it integrates to the
+    scaled bits of the unscaled integral.
+    """
+    x = 1.0 / gamma
+    erfcx = math.exp(x * x) * math.erfc(x) if x < 25.0 else 1.0 / (math.sqrt(math.pi) * x)
+    return math.ldexp(1.0, round(math.log2(2.0 * x / (math.sqrt(math.pi) * erfcx))))
 
 
 def trace_integrand(s: float, gamma: float) -> float:

@@ -22,8 +22,14 @@ from boostcap.channel import (LAMBDA3_CONSTANT, PacketFrame, PauliLambda,
                               state_density)
 from boostcap.errors import (ConvergenceError, DomainError, IntegrityError,
                              NotAChannelError, RangeError)
-from boostcap.quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
-from boostcap.wavepacket import theta_c
+from boostcap.quadrature import DEFAULT_CONFIG, SWEEP_CONFIG, QuadratureConfig, integrate
+from boostcap.wavepacket import normalization, theta_c
+
+# the validated domain of the fast path, Gamma 1e-3 to 1e4 and |zeta| <= 10
+VALIDATED_GRID = [PacketFrame(g, z)
+                  for g in (1e-3, 0.01, 0.1, 0.5, 1.0, 5.0, 20.0, 200.0, 1e3, 1e4)
+                  for z in (-10.0, -3.0, -1.0, -0.3, 0.0, 0.5, 1.0, 2.0,
+                            4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0)]
 
 
 def gauss_legendre_lambda_oracle(gamma, zeta, n_theta=1600, n_phi=700):
@@ -182,6 +188,38 @@ class TestLambdaNumeric:
         lam = lambda_numeric(PacketFrame(gamma, zeta), DEFAULT_CONFIG, "closed_profile")
         for got, want in zip(lam.as_tuple(), expected):
             assert got == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("gamma, zeta, expected", [
+        (1e-3, 7.0, (0.9640152362812834, 0.8396791782389343, 0.8473204077472724)),
+        (1.0, 0.5, (0.97362440403452465, 0.82627121128368223, 0.82010943558747050)),
+        (0.1, 2.0, (0.99801392006267020, 0.96530600473777774, 0.96429935028889504)),
+    ])
+    def test_fast_path_against_receding_references(self, gamma, zeta, expected):
+        # 30-digit mpmath lab-frame tanh-sinh with breakpoints at pi/2 and
+        # 15 equal cuts of [0, theta_c]; the g5 and g6 profiles are
+        # log-singular at pi/2, which cost (1e-3, 7) 2.0e-10 without the
+        # fast path's seed stacks toward it
+        lam = lambda_numeric(PacketFrame(gamma, zeta), DEFAULT_CONFIG, "closed_profile")
+        for got, want in zip(lam.as_tuple(), expected):
+            assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("cfg", [SWEEP_CONFIG, DEFAULT_CONFIG], ids=["sweep", "default"])
+    def test_fast_path_converges_on_the_validated_domain(self, cfg):
+        # Gamma 1e-3 to 1e4 and |zeta| <= 10; receding frames near the top
+        # of this range once exhausted the subdivision budget
+        lams = channel.lambda_batch(VALIDATED_GRID, cfg)
+        failed = [(f, lam) for f, lam in zip(VALIDATED_GRID, lams)
+                  if not isinstance(lam, PauliLambda)]
+        assert failed == []
+
+    def test_fast_path_norm_matches_closed_form(self):
+        # N divides every eigenvalue; its quadrature, on rows scaled by a
+        # power of two near 2 pi / N, tracks the closed form on the whole
+        # domain (worst 5.5e-9, at |zeta| = 10)
+        for frame, ints in zip(VALIDATED_GRID,
+                               channel._closed_integrals(VALIDATED_GRID, DEFAULT_CONFIG)):
+            n = normalization(frame, "closed_form")
+            assert ints["norm"] == pytest.approx(n, rel=1e-8, abs=0.0), frame
 
     def test_fast_path_is_one_integral_per_frame(self, monkeypatch):
         calls = []

@@ -141,13 +141,16 @@ class TestBatchedSweep:
 
         closed_integrals = channel._closed_integrals
         monkeypatch.setattr(channel, "_closed_integrals", counting)
-        rows = run_sweep(SweepSpec("zeta", 2.0, 6.0, 5, 1e-4), SWEEP_CONFIG)
+        # at Gamma = 1 the frames at zeta = 2..6 converge within 30, 30, 33,
+        # 34 and 36 subdivisions, so under a budget of 35 only the last fails
+        budget = QuadratureConfig(SWEEP_CONFIG.abs_tol, SWEEP_CONFIG.rel_tol, 35)
+        rows = run_sweep(SweepSpec("zeta", 2.0, 6.0, 5, 1.0), budget)
         assert [r["status"] for r in rows] == ["ok"] * 4 + ["error:ConvergenceError"]
         assert rows[4]["zeta"] == 6.0
         assert all(rows[4].get(c) is None for c in COLUMNS[3:16])
         # the failure costs one more pass over its chunk, without it
         assert passes == [5, 4]
-        assert rows[:4] == run_sweep(SweepSpec("zeta", 2.0, 5.0, 4, 1e-4), SWEEP_CONFIG)
+        assert rows[:4] == run_sweep(SweepSpec("zeta", 2.0, 5.0, 4, 1.0), budget)
 
     def test_point_without_a_frame_is_flagged(self):
         # 1/inv_gamma overflows at the first point, so its chunk cannot be
@@ -188,15 +191,17 @@ class TestRendering:
                                  "max_subdivisions": 2000}
 
     def test_fast_path_csv_bytes_pinned(self, fig2_rows):
-        # pinned when the GK15 rule began to reduce each interval on its own;
-        # that moved fast-path eigenvalues by at most 5.6e-16 and left their
-        # errors against the mpmath references as they were
+        # pinned when the fast path began to seed the log singularity at
+        # pi/2, compute D without cancellation and scale its rows by a power
+        # of two near 2 pi / N; against 30-digit mpmath references every
+        # eigenvalue of both grids is within 1.6e-15, and the receding grid
+        # went from errors up to 9.2e-15 to 4.4e-16
         _, rows = fig2_rows
         receding = run_sweep(SweepSpec("zeta", -1.0, 2.0, 7, 1.0), DEFAULT_CONFIG, jobs=1)
         assert hashlib.sha256(render_csv(rows)).hexdigest() == \
-            "f8de43152adc09b5b2facaa57b35e3a9fef03edca1f6a34facce7f529614cd82"
+            "45494e62fd2b82a2e2550aaac4f32fe5eee0444387432becd9ec1c775bf91c0a"
         assert hashlib.sha256(render_csv(receding)).hexdigest() == \
-            "901d51200dbbd08da11404fa029b764aaa85ffed327d183c76e9f62e293b99cb"
+            "f150fb7e0f1ee18afc5b81ec9fc2bbe69f63da7e071ab683881388b4897d9775"
 
     def test_svg_structure(self, fig2_rows):
         spec, rows = fig2_rows
@@ -240,6 +245,11 @@ class TestCli:
 
     def test_invalid_velocity_usage_error(self, capsys):
         assert main(["lambdas", "--gamma", "1.0", "--velocity", "1.5"]) == 2
+
+    def test_strongly_receding_wide_packet_converges(self, capsys):
+        # this frame once exhausted the polar budget and exited 3
+        assert main(["lambdas", "--gamma", "1000", "--zeta", "8"]) == 0
+        assert json.loads(capsys.readouterr().out)["l2"] < -0.999
 
     def test_nonconvergence_exit_code(self, capsys):
         code = main(["capacity", "--gamma", "1.0", "--max-subdivisions", "1"])

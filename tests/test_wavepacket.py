@@ -5,7 +5,7 @@ import pytest
 
 from boostcap.errors import DomainError
 from boostcap.wavepacket import (PacketFrame, envelope_sq, kernel,
-                                 log_envelope_sq, normalization,
+                                 log_envelope_sq, norm_scale, normalization,
                                  rest_frame_trace, theta_c, trace_integrand)
 
 
@@ -105,6 +105,16 @@ class TestNormalization:
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             normalization(PacketFrame(1.0, 0.0), "monte_carlo")
+
+
+class TestNormScale:
+    # Gamma <= 0.04 takes the asymptotic branch, 1/Gamma >= 25
+    @pytest.mark.parametrize("gamma", [*np.logspace(-3, 4, 15).tolist(), 0.04, 0.0400001])
+    def test_power_of_two_within_a_factor_two_of_two_pi_over_n(self, gamma):
+        s = norm_scale(gamma)
+        assert math.frexp(s)[0] == 0.5
+        ratio = s * normalization(PacketFrame(gamma, 0.0), "closed_form") / (2.0 * math.pi)
+        assert 0.5 < ratio < 2.0
 
 
 class TestRestFrameTrace:
