@@ -17,8 +17,10 @@ pins this choice.
 Two evaluation routes exist for every azimuthal profile: adaptive quadrature
 (the baseline and oracle) and closed forms in complete elliptic integrals;
 the fast route must track the baseline to 1e-9 and is what parameter sweeps
-use.  A notable consequence of the closed forms: the l3 profile vanishes
-identically on the backward hemisphere t > pi/2.
+use.  The oracle integrates the six profile kinds as six problems of one
+polar worklist, and the azimuthal integrals of each polar round as one
+batched worklist per kind.  A notable consequence of the closed forms: the
+l3 profile vanishes identically on the backward hemisphere t > pi/2.
 """
 
 from __future__ import annotations
@@ -193,11 +195,10 @@ def _quarter_seeds(theta: float) -> list[float]:
     return stack + [math.pi / 2 - b for b in stack]
 
 
-def _located(where: str, exc: ConvergenceError, cfg: QuadratureConfig, factor: float = 1.0,
+def _located(where: str, cfg: QuadratureConfig, estimate: float, error_bound: float,
              problem: int | None = None) -> ConvergenceError:
     return ConvergenceError(f"{where} did not converge within {cfg.max_subdivisions} subdivisions",
-                            estimate=factor * exc.estimate,
-                            error_bound=factor * exc.error_bound, problem=problem)
+                            estimate=estimate, error_bound=error_bound, problem=problem)
 
 
 def _azimuthal_profiles(kind: str, thetas, cfg: QuadratureConfig) -> np.ndarray:
@@ -215,7 +216,7 @@ def _azimuthal_profiles(kind: str, thetas, cfg: QuadratureConfig) -> np.ndarray:
             [0.0] * len(ct), [math.pi / 2] * len(ct), cfg, [_quarter_seeds(t) for t in thetas])
     except ConvergenceError as exc:
         raise _located(f"{kind} azimuthal profile at theta={float(thetas[exc.problem])!r}",
-                       exc, cfg, 4.0, exc.problem) from exc
+                       cfg, 4.0 * exc.estimate, 4.0 * exc.error_bound, exc.problem) from exc
     return 4.0 * vals
 
 
@@ -263,27 +264,32 @@ def _closed_rows(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             -4.0 * c * K / (2.0 - u))
 
 
-def _nested_integral(frame: PacketFrame, cfg: QuadratureConfig, kind: str) -> float:
-    """Polar integral of K times the adaptive ``kind`` profile at every live node.
+def _oracle_integrals(frame: PacketFrame, cfg: QuadratureConfig) -> dict:
+    """Polar integrals of K times the adaptive profile of every kind, in one worklist.
 
-    The profiles of all live nodes of one polar GK15 batch run as one batched
-    worklist; each node keeps its own partition, tolerance and budget.
+    Each kind is one problem over [0, theta_c) with its own seeds, partition
+    and budget; the kinds never share a partition.  Each polar round
+    evaluates the kernel once and runs one batched azimuthal worklist per
+    kind on that kind's live nodes, so each kind gets the bits it gets alone.
     """
-    def outer(ts: np.ndarray) -> np.ndarray:
+    def outer(ts: np.ndarray, idx: np.ndarray) -> np.ndarray:
         kv = kernel_values(ts, frame)
-        live = kv > 0.0
         vals = np.zeros_like(kv)
-        vals[live] = kv[live] * _azimuthal_profiles(kind, ts[live], cfg)
+        for k, kind in enumerate(PROFILE_KINDS):
+            mine = (idx == k) & (kv > 0.0)
+            vals[mine] = kv[mine] * _azimuthal_profiles(kind, ts[mine], cfg)
         return vals
 
+    n = len(PROFILE_KINDS)
     try:
-        val, _ = integrate(outer, 0.0, theta_c(frame.zeta), cfg,
-                           breakpoints=theta_breakpoints(frame))
+        vals, _ = integrate_batch(outer, [0.0] * n, [theta_c(frame.zeta)] * n, cfg,
+                                  [theta_breakpoints(frame)] * n)
     except ConvergenceError as exc:
-        if exc.problem is not None:
-            raise                       # an azimuthal profile, located already
-        raise _located(f"{kind} polar integral at {frame!r}", exc, cfg) from exc
-    return val
+        if exc.__cause__ is not None:   # the polar worklist's own error has none
+            raise                       # an azimuthal profile's, located already
+        raise _located(f"{PROFILE_KINDS[exc.problem]} polar integral at {frame!r}",
+                       cfg, exc.estimate, exc.error_bound) from exc
+    return dict(zip(PROFILE_KINDS, vals.tolist()))
 
 
 def _closed_seeds(frame: PacketFrame) -> list[float]:
@@ -316,8 +322,9 @@ def _closed_integrals(frames: list[PacketFrame], cfg: QuadratureConfig) -> list[
     Every frame gets the bits it gets alone, so the one-frame call through
     :func:`integrate` and :func:`kernel_values` is only a size selection: it
     skips the per-node gather of frame coefficients.  A failed polar
-    integral raises a ConvergenceError that names its frame and carries its
-    index.
+    integral raises a ConvergenceError that names its frame and the row
+    furthest from its tolerance, carries that row's unscaled estimate and
+    bound as floats, and carries the frame's index.
     """
     scales = np.array([norm_scale(f.gamma) for f in frames])
 
@@ -338,15 +345,14 @@ def _closed_integrals(frames: list[PacketFrame], cfg: QuadratureConfig) -> list[
                 [0.0] * len(frames), [theta_c(f.zeta) for f in frames], cfg,
                 [_closed_seeds(f) for f in frames])
     except ConvergenceError as exc:
-        problem = exc.problem or 0
-        raise _located(f"polar integral at {frames[problem]!r}", exc, cfg,
-                       1.0 / scales[problem], problem) from exc
+        # the row furthest from its tolerance, unscaled
+        p, est = exc.problem, exc.estimate
+        row = int(np.argmax(exc.error_bound / np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(est))))
+        raise _located(f"{('g2_cos', 'g5_sqrt', 'g6_sqrt', 'N')[row]} row of the polar integral "
+                       f"at {frames[p]!r}", cfg, float(est[row] / scales[p]),
+                       float(exc.error_bound[row] / scales[p]), p) from exc
     return [{"g2_cos": g2, "g5_sqrt": g5, "g6_sqrt": g6, "norm": 2.0 * math.pi * n_val}
             for g2, g5, g6, n_val in (vals / scales[:, None]).tolist()]
-
-
-# the method key of a frame's per-kind memo of oracle integrals
-_ORACLE_KINDS = "oracle kinds"
 
 
 @functools.lru_cache(maxsize=512)
@@ -356,21 +362,15 @@ def _frame_integrals(gamma: float, zeta: float, cfg: QuadratureConfig, method: s
     The fast path integrates s K (g2, g5, g6, 1), s a power of two near
     2 pi / N, in one vector-valued pass, so N's quadrature error correlates
     with that of the numerators; it is the one-frame call of
-    :func:`_closed_integrals`.  The oracle records every
-    kind it integrates in the frame's per-kind memo, ``method="oracle
-    kinds"``, which lives in this cache so that ``cache_clear`` drops it too.
+    :func:`_closed_integrals`.  The oracle's entry holds all six kinds, from
+    one worklist (:func:`_oracle_integrals`), for every oracle reader.
     """
     frame = PacketFrame(gamma, zeta)
     if method == "closed_profile":
         return _closed_integrals([frame], cfg)[0]
-    if method == _ORACLE_KINDS:
-        return {}
     if method != "quadrature":
         raise DomainError(f"unknown lambda method {method!r}")
-    out = {kind: _nested_integral(frame, cfg, kind) for kind in PROFILE_KINDS}
-    _frame_integrals(gamma, zeta, cfg, _ORACLE_KINDS).update(out)
-    out["norm"] = normalization(frame, "quadrature", cfg)
-    return out
+    return {**_oracle_integrals(frame, cfg), "norm": normalization(frame, "quadrature", cfg)}
 
 
 def _pauli_lambda(frame: PacketFrame, ints: dict) -> PauliLambda:
@@ -441,14 +441,12 @@ def identity_residuals(frame: PacketFrame,
     1/2); the second pair agrees only after a quarter-turn shift of the
     azimuth.  Both read the oracle's cached frame integrals, the numbers
     :func:`rho_direct` assembles, so the identities are checked on the
-    integrals whose trace they guarantee.
+    integrals whose trace they guarantee.  At a frame that is not cached
+    this runs the whole oracle, N included.
     """
-    memo = _frame_integrals(frame.gamma, frame.zeta, cfg, _ORACLE_KINDS)
-    for kind in PROFILE_KINDS[:4]:
-        if kind not in memo:
-            memo[kind] = _nested_integral(frame, cfg, kind)
-    return (abs(memo["g1_cos"] - memo["g3_sin"]),
-            abs(memo["g2_cos"] + memo["g4_sin"]))
+    ints = _frame_integrals(frame.gamma, frame.zeta, cfg, "quadrature")
+    return (abs(ints["g1_cos"] - ints["g3_sin"]),
+            abs(ints["g2_cos"] + ints["g4_sin"]))
 
 
 def apply_pauli(lam: PauliLambda, state: QubitState) -> np.ndarray:

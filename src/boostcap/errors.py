@@ -28,8 +28,8 @@ class ConvergenceError(BoostcapError):
     """Adaptive quadrature failed to reach the requested tolerance.
 
     Carries the best estimate obtained and the associated error bound so a
-    caller can decide whether the partial result is still usable; a batched
-    integral also carries the index of the problem that failed.
+    caller can decide whether the partial result is still usable; an adaptive
+    integral also carries the index of the problem that failed (0 if alone).
     """
 
     def __init__(self, message: str, estimate: float, error_bound: float,

@@ -7,9 +7,10 @@ return an array of shape (n,), or (k, n) for k integrals over one partition,
 so a single subdivision costs one vectorized call.  ``integrate_batch`` runs
 many independent problems in one worklist: each round bisects the worst
 interval of every unconverged problem, with one integrand call for all of
-them.  Splitting order is a pure function of a problem's own estimates, which
-makes repeated runs bit-identical, and the GK15 rule reduces every interval
-on its own, so each problem of a batch gets the bits that it gets alone.
+them; ``integrate`` is its one-problem call.  Splitting order is a pure
+function of a problem's own estimates, which makes repeated runs
+bit-identical, and the GK15 rule reduces every interval on its own, so each
+problem of a batch gets the bits that it gets alone.
 """
 
 from __future__ import annotations
@@ -131,15 +132,16 @@ def integrate(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     breakpoints: Sequence[float] | None = None,
 ) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Integrate a vectorized integrand over [a, b].
+    """Integrate a vectorized integrand over [a, b]: the one-problem call of
+    :func:`integrate_batch`.
 
     ``breakpoints`` seeds the initial partition (known kinks, near-singular
     layers); the adaptive loop refines from there.  Returns the estimate and
     an error bound, as arrays of shape (k,) for k components, each of which
-    must meet the tolerance.  Raises :class:`ConvergenceError` when the
-    subdivision budget is exhausted before the tolerance is met.
+    must meet the tolerance.  Raises :class:`ConvergenceError` (``problem``
+    0) when the subdivision budget is exhausted before the tolerance is met.
     """
-    return _worklist(f, [a], [b], cfg, [breakpoints], indexed=False)[0]
+    return _worklist(lambda x, idx: f(x), [a], [b], cfg, [breakpoints])[0]
 
 
 def integrate_batch(
@@ -162,18 +164,19 @@ def integrate_batch(
     zero-width scalar problem integrates to 0.  The first problem to exhaust
     its budget, the lowest index among those that exhaust it in the same
     round, raises :class:`ConvergenceError` with its own estimate, bound and
-    index.
+    index.  An error that ``f`` raises propagates unchanged.
     """
-    pairs = _worklist(f, a, b, cfg, breakpoints, indexed=True)
+    pairs = _worklist(f, a, b, cfg, breakpoints)
     return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
 
-def _worklist(f, a, b, cfg, breakpoints, indexed):
-    """The adaptive loop shared by :func:`integrate` and :func:`integrate_batch`.
+def _worklist(f, a, b, cfg, breakpoints):
+    """The adaptive loop of :func:`integrate_batch`, and so of :func:`integrate`.
 
     Every round gathers the intervals that each unfinished problem asks for
-    (first its seed partition, then one bisection), evaluates and reduces
-    them in one GK15 batch and hands each problem its slice.
+    (first its seed partition, then one bisection), evaluates them in one
+    call ``f(x, idx)``, reduces them in one GK15 batch and hands each problem
+    its slice.
     """
     results = [(0.0, 0.0)] * len(a)      # a zero-width problem integrates to 0
     pending = {}                         # problem -> (its loop, the intervals it asks for)
@@ -193,11 +196,8 @@ def _worklist(f, a, b, cfg, breakpoints, indexed):
             highs += his
             counts.append(len(los))
         lows, highs = np.array(lows), np.array(highs)
-        if indexed:
-            idx = np.repeat(np.array([p for p, _ in rounds]), 15 * np.array(counts))
-            fx = _gk15(lambda x: f(x, idx), lows, highs)
-        else:
-            fx = _gk15(f, lows, highs)
+        idx = np.array([p for p, _ in rounds]).repeat([15 * c for c in counts])
+        fx = _gk15(lambda x: f(x, idx), lows, highs)
         vals, errs = _rule(fx, lows, highs)
         start = 0
         for (p, (loop, _)), end in zip(rounds, itertools.accumulate(counts)):
@@ -212,7 +212,7 @@ def _worklist(f, a, b, cfg, breakpoints, indexed):
                     raise ConvergenceError(
                         f"quadrature did not converge within {cfg.max_subdivisions} subdivisions",
                         estimate=total, error_bound=total_err,
-                        problem=p if indexed else None) from None
+                        problem=p) from None
                 results[p] = total, total_err
     return results
 
@@ -261,10 +261,10 @@ def _refine(cfg, a, b, breakpoints):
     n_sub = len(heap)
 
     def resum():
-        # exact re-sum in endpoint order; the running accumulators can lose
-        # precision when a transient spike interval passes through them
-        items = sorted(heap, key=lambda t: t[1])
-        return fsum([t[3] for t in items]), fsum([t[4] for t in items])
+        # exact re-sum; the running accumulators can lose precision when a
+        # transient spike interval passes through them.  fsum is correctly
+        # rounded, so the heap's order does not change the result
+        return fsum([t[3] for t in heap]), fsum([t[4] for t in heap])
 
     while True:
         if within_tol(total, total_err):

@@ -113,8 +113,8 @@ def make_manifest(spec: SweepSpec, cfg: QuadratureConfig, method: str) -> RunMan
                        **payload)
 
 
-def _eval_point(args: tuple) -> dict:
-    index, inv_gamma, zeta, cfg, method = args
+def _eval_point(index: int, inv_gamma: float, zeta: float, cfg: QuadratureConfig,
+                method: str) -> dict:
     try:
         lam = lambda_numeric(PacketFrame(1.0 / inv_gamma, zeta), cfg, method)
     except BoostcapError as exc:
@@ -144,7 +144,7 @@ def _eval_chunk(points: list[tuple], cfg: QuadratureConfig) -> list[dict]:
         lams = lambda_batch([PacketFrame(1.0 / ig, z) for _, ig, z in points], cfg)
     except BoostcapError:
         # not an error of one frame: each point on its own flags its own
-        return [_eval_point((i, ig, z, cfg, "closed_profile")) for i, ig, z in points]
+        return [_eval_point(i, ig, z, cfg, "closed_profile") for i, ig, z in points]
     return [_row(i, ig, z, lam) for (i, ig, z), lam in zip(points, lams)]
 
 
@@ -163,7 +163,7 @@ def run_sweep(spec: SweepSpec, cfg: QuadratureConfig = SWEEP_CONFIG,
         inv_gamma, zeta = (x, spec.fixed) if spec.axis == "inv_gamma" else (spec.fixed, x)
         points.append((i, inv_gamma, zeta))
     if method != "closed_profile":
-        return [_eval_point((i, ig, z, cfg, method)) for i, ig, z in points]
+        return [_eval_point(i, ig, z, cfg, method) for i, ig, z in points]
     rows = []
     for start in range(0, len(points), CHUNK_FRAMES):
         rows += _eval_chunk(points[start:start + CHUNK_FRAMES], cfg)

@@ -23,7 +23,7 @@ from boostcap.channel import (LAMBDA3_CONSTANT, PacketFrame, PauliLambda,
 from boostcap.errors import (ConvergenceError, DomainError, IntegrityError,
                              NotAChannelError, RangeError)
 from boostcap.quadrature import DEFAULT_CONFIG, SWEEP_CONFIG, QuadratureConfig, integrate
-from boostcap.wavepacket import normalization, theta_c
+from boostcap.wavepacket import kernel_values, normalization, theta_breakpoints, theta_c
 
 # the validated domain of the fast path, Gamma 1e-3 to 1e4 and |zeta| <= 10
 VALIDATED_GRID = [PacketFrame(g, z)
@@ -236,29 +236,56 @@ class TestLambdaNumeric:
         assert len(calls) == 1
 
     def test_oracle_batches_its_azimuthal_integrals(self, monkeypatch):
-        # the azimuthal profiles of a polar GK15 batch run as one batched
-        # worklist: no integral per polar node; measured 532 GK15 calls at
-        # this frame
-        integrals, batches = [], []
+        # the six kinds are six problems of one polar worklist, and the
+        # azimuthal profiles of a polar round run as batched worklists
+        # inside it: no integral per kind or per polar node; measured 493
+        # GK15 calls at this frame
+        polar, batches, depth = [], [], []
 
-        def counting_integrate(*args, **kwargs):
-            integrals.append(args)
-            return integrate(*args, **kwargs)
+        def counting_batch(f, a, *args):
+            if not depth:
+                polar.append(len(a))
+            depth.append(1)
+            try:
+                return integrate_batch(f, a, *args)
+            finally:
+                depth.pop()
 
         def counting_gk15(*args):
             batches.append(len(args[1]))
             return gk15(*args)
 
-        gk15 = quadrature._gk15
-        monkeypatch.setattr(channel, "integrate", counting_integrate)
+        integrate_batch, gk15 = channel.integrate_batch, quadrature._gk15
+        monkeypatch.setattr(channel, "integrate_batch", counting_batch)
+        monkeypatch.setattr(channel, "integrate", None)
         monkeypatch.setattr(quadrature, "_gk15", counting_gk15)
         channel._frame_integrals.__wrapped__(1.0, 0.5, DEFAULT_CONFIG, "quadrature")
-        assert len(integrals) == len(channel.PROFILE_KINDS)    # the polar ones
+        assert polar == [len(channel.PROFILE_KINDS)]
         assert len(batches) < 1500
+
+    @pytest.mark.parametrize("frame", [PacketFrame(1.0, 0.0), PacketFrame(0.5, -1.0),
+                                       PacketFrame(0.5, 0.5)])
+    def test_oracle_kinds_are_their_polar_integrals_run_alone(self, frame):
+        # one worklist for the six kinds changes no kind's bits: each equals
+        # its own polar integral of K times its adaptive profile
+        def alone(kind):
+            def outer(ts):
+                kv = kernel_values(ts, frame)
+                live = kv > 0.0
+                vals = np.zeros_like(kv)
+                vals[live] = kv[live] * channel._azimuthal_profiles(kind, ts[live], SWEEP_CONFIG)
+                return vals
+            return integrate(outer, 0.0, theta_c(frame.zeta), SWEEP_CONFIG,
+                             breakpoints=theta_breakpoints(frame))[0]
+
+        got = channel._oracle_integrals(frame, SWEEP_CONFIG)
+        assert list(got) == list(channel.PROFILE_KINDS)
+        for kind in channel.PROFILE_KINDS:
+            assert got[kind].hex() == alone(kind).hex(), kind
 
     def test_receding_oracle_frame_has_no_roundoff_tail(self, monkeypatch):
         # polar nodes near t = pi/2 must not bisect their azimuthal layers
-        # down to rounding; measured 653 GK15 calls at this frame
+        # down to rounding; measured 602 GK15 calls at this frame
         batches = []
 
         def counting_gk15(*args):
@@ -271,22 +298,46 @@ class TestLambdaNumeric:
         assert len(batches) < 1500
 
     def test_oracle_convergence_error_says_where(self):
-        # with one subdivision the g1 polar integral fails first; the g6
-        # azimuthal profiles fail inside the first polar batch, and that
-        # error passes through the polar integral unchanged
+        # with one subdivision the kinds' polar integrals fail in their
+        # first round at an approaching frame, g1 first by its index; at a
+        # receding one the g2 azimuthal profiles fail inside the first polar
+        # round, and that error passes through the polar worklist unchanged
         starved = QuadratureConfig(max_subdivisions=1)
-        frame = PacketFrame(1.0, 0.5)
+        frame = PacketFrame(1.0, -1.0)
         with pytest.raises(ConvergenceError) as exc:
             lambda_numeric(frame, starved, "quadrature")
         assert str(exc.value).startswith(f"g1_cos polar integral at {frame!r} did not "
                                          "converge within 1 subdivisions")
+        frame = PacketFrame(1.0, 0.5)
         with pytest.raises(ConvergenceError) as exc:
-            channel._nested_integral(frame, starved, "g6_sqrt")
+            lambda_numeric(frame, starved, "quadrature")
         kind, _, rest = str(exc.value).partition(" azimuthal profile at theta=")
-        assert kind == "g6_sqrt"
+        assert kind == "g2_cos"
         assert 0.0 < float(rest.split()[0]) < theta_c(frame.zeta)
         assert "within 1 subdivisions" in rest
-        assert math.isfinite(exc.value.estimate) and exc.value.error_bound > 0
+        assert type(exc.value.estimate) is float and math.isfinite(exc.value.estimate)
+        assert type(exc.value.error_bound) is float and exc.value.error_bound > 0
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_fast_path_convergence_error_carries_floats(self, batched):
+        # the budget that fails only zeta = 6 of the frames at Gamma = 1
+        # (see TestBatchedSweep); the error names the row furthest from its
+        # tolerance and carries that row's estimate and bound
+        starved = QuadratureConfig(1e-12, 1e-8, 35)
+        frame = PacketFrame(1.0, 6.0)
+        if batched:
+            exc = channel.lambda_batch([PacketFrame(1.0, 2.0), frame], starved)[1]
+            assert isinstance(exc, ConvergenceError) and exc.problem == 1
+        else:
+            with pytest.raises(ConvergenceError) as info:
+                lambda_numeric(frame, starved, "closed_profile")
+            exc = info.value
+        row, _, rest = str(exc).partition(" row of the polar integral at ")
+        assert row in ("g2_cos", "g5_sqrt", "g6_sqrt", "N")
+        assert rest.startswith(f"{frame!r} did not converge within 35 subdivisions")
+        assert type(exc.estimate) is float and math.isfinite(exc.estimate)
+        assert type(exc.error_bound) is float and exc.error_bound > 0
+        assert "array(" not in str(exc)
 
     @pytest.mark.parametrize("method", ["closed_profile", "quadrature"])
     def test_eigenvalues_are_python_floats(self, cfg, method):

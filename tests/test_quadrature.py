@@ -67,6 +67,8 @@ class TestIntegrate:
             integrate(f, 0.0, 1.0, QuadratureConfig(1e-14, 1e-13, 16))
         assert math.isfinite(exc.value.estimate)
         assert exc.value.error_bound > 0
+        # integrate is the one-problem call of the batched worklist
+        assert exc.value.problem == 0
 
     def test_deterministic(self, cfg):
         f = lambda x: np.exp(-x) * np.cos(13.0 * x)  # noqa: E731

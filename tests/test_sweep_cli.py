@@ -157,8 +157,8 @@ class TestBatchedSweep:
         # batched; each point of it is evaluated and flagged on its own
         rows = run_sweep(SweepSpec("inv_gamma", 1e-320, 0.5, 3, 0.0), SWEEP_CONFIG)
         assert [r["status"] for r in rows] == ["error:DomainError", "ok", "ok"]
-        assert rows == [sweep._eval_point((r["index"], r["inv_gamma"], r["zeta"],
-                                           SWEEP_CONFIG, "closed_profile")) for r in rows]
+        assert rows == [sweep._eval_point(r["index"], r["inv_gamma"], r["zeta"],
+                                          SWEEP_CONFIG, "closed_profile") for r in rows]
 
 
 class TestRendering:
