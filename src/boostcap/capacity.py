@@ -17,15 +17,16 @@ bound cannot be positive, and the report constructor enforces that.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (PacketFrame, PauliLambda, PauliProbs, apply_pauli_matrix,
-                      compose, lambda_numeric, lambda_probs, probs_lambda)
-from .errors import IntegrityError, PreconditionError, ThresholdNotFoundError
-from .errors import DomainError
+                      compose, lambda_batch, lambda_numeric, lambda_probs, probs_lambda)
+from .errors import (BoostcapError, DomainError, IntegrityError, PreconditionError,
+                     RangeError, ThresholdNotFoundError)
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .special_functions import entropy
 
@@ -125,9 +126,76 @@ def frame_report(gamma: float, zeta: float, cfg: QuadratureConfig = DEFAULT_CONF
     return lam, capacity_report(lam)
 
 
-def _hashing_raw_at(zeta: float, gamma: float, cfg: QuadratureConfig, method: str) -> float:
-    lam = lambda_numeric(PacketFrame(gamma, zeta), cfg, method)
+def _hashing_raw(lam: PauliLambda) -> float:
     return hashing_bound(lambda_probs(lam))[0]
+
+
+def _hashing_raw_at(zeta: float, gamma: float, cfg: QuadratureConfig, method: str) -> float:
+    return _hashing_raw(lambda_numeric(PacketFrame(gamma, zeta), cfg, method))
+
+
+def _no_cloning_margin(lam: PauliLambda) -> float:
+    return cerf_indicator(lambda_probs(lam)) - CERF_THRESHOLD
+
+
+def _lambdas(frames: list[PacketFrame], cfg: QuadratureConfig,
+             method: str) -> list[PauliLambda | BoostcapError]:
+    """Each frame's eigenvalues or its own error, as :func:`run_sweep` gets them:
+    one batched worklist on the fast path, one frame at a time otherwise."""
+    if method == "closed_profile":
+        return lambda_batch(frames, cfg)
+    out: list = []
+    for frame in frames:
+        try:
+            out.append(lambda_numeric(frame, cfg, method))
+        except BoostcapError as exc:
+            out.append(exc)
+    return out
+
+
+def _checked(entry: PauliLambda | BoostcapError) -> PauliLambda:
+    if isinstance(entry, BoostcapError):
+        raise entry
+    return entry
+
+
+def _positive_tolerance(name: str, tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"{name} must be positive and finite, got {tol!r}")
+
+
+def _crossing(f, lo: float, hi: float, f_lo: float, f_hi: float, width: float) -> float:
+    """The crossing of ``f`` on a bracket with f(lo) > 0 >= f(hi), to ``width``.
+
+    ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2021) with kappa1 =
+    0.2 / (hi - lo), kappa2 = 2 and n0 = 2: each step takes the regula falsi
+    point, truncates it toward the midpoint and projects it into the ball
+    that keeps bisection's worst case, so a solve makes at most two more
+    evaluations than bisection's ceil(log2((hi - lo) / width)) and
+    superlinearly fewer near a simple root.  The bracket keeps its signs and
+    shrinks until it is no wider than ``width`` (or down to adjacent floats);
+    its midpoint, within width/2 of the crossing, is returned.
+    """
+    kappa1 = 0.2 / (hi - lo)
+    n_max = math.ceil(max(0.0, math.log2(hi - lo) - math.log2(width))) + 2
+    for j in itertools.count():
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= width or not lo < mid < hi:
+            return mid
+        x = (hi * f_lo - lo * f_hi) / (f_lo - f_hi)
+        sigma = math.copysign(1.0, mid - x)
+        delta = kappa1 * (hi - lo) ** 2
+        x = x + sigma * delta if delta <= abs(mid - x) else mid
+        radius = math.ldexp(width, n_max - j - 1) - 0.5 * (hi - lo)
+        if abs(x - mid) > radius:
+            x = mid - sigma * radius
+        if not lo < x < hi:     # as when f(hi) = 0; an end would not shrink the bracket
+            x = mid
+        y = f(x)
+        if y > 0.0:
+            lo, f_lo = x, y
+        else:
+            hi, f_hi = x, y
 
 
 def boost_threshold(gamma: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -135,33 +203,37 @@ def boost_threshold(gamma: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
                     zeta_tol: float = 1e-4) -> float:
     """Rapidity at which the raw hashing bound of a zero-capacity packet crosses 0.
 
-    Bisects on zeta in [zeta_min, 0].  Requires the rest-frame channel to
+    Samples zeta_min, its three quarter points and 0 in one batch, then
+    solves on the quarter-range bracket they give (:func:`_crossing`), to
+    within zeta_tol/2 of the crossing.  Requires the rest-frame channel to
     have a non-positive raw hashing bound (otherwise there is nothing to
     boost past) and validates that the bound decreases monotonically along
-    the bracketing samples toward zeta = 0.
+    the samples toward zeta = 0.  zeta_min must lie in [-10, 0), the
+    validated domain.
     """
-    f0 = _hashing_raw_at(0.0, gamma, cfg, method)
+    _positive_tolerance("zeta_tol", zeta_tol)
+    if not (math.isfinite(zeta_min) and zeta_min < 0.0):
+        raise DomainError(f"zeta_min must be negative and finite, got {zeta_min!r}")
+    if zeta_min < -10.0:
+        raise RangeError(f"zeta_min {zeta_min!r} is outside the validated domain |zeta| <= 10")
+    samples = [zeta_min, 0.75 * zeta_min, 0.5 * zeta_min, 0.25 * zeta_min, 0.0]
+    lams = _lambdas([PacketFrame(gamma, z) for z in samples], cfg, method)
+    f0 = _hashing_raw(_checked(lams[-1]))
     if f0 > 0.0:
         raise PreconditionError(
             f"hashing bound already positive at rest ({f0!r}); no boost threshold")
-    fmin = _hashing_raw_at(zeta_min, gamma, cfg, method)
+    fmin = _hashing_raw(_checked(lams[0]))
     if fmin <= 0.0:
         raise ThresholdNotFoundError(
             f"no sign change of the hashing bound on [{zeta_min}, 0]")
-    samples = [zeta_min, 0.75 * zeta_min, 0.5 * zeta_min, 0.25 * zeta_min, 0.0]
-    values = [fmin] + [_hashing_raw_at(z, gamma, cfg, method) for z in samples[1:-1]] + [f0]
+    values = [fmin] + [_hashing_raw(_checked(lam)) for lam in lams[1:-1]] + [f0]
     for a, b in zip(values, values[1:]):
         if b > a + 1e-9:
             raise IntegrityError(
                 f"hashing bound not monotone on the bracketing samples: {values!r}")
-    lo, hi = zeta_min, 0.0      # raw > 0 at lo, <= 0 at hi
-    while hi - lo > zeta_tol:
-        mid = 0.5 * (lo + hi)
-        if _hashing_raw_at(mid, gamma, cfg, method) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    k = next(i for i, v in enumerate(values) if v <= 0.0)
+    return _crossing(lambda z: _hashing_raw_at(z, gamma, cfg, method),
+                     samples[k - 1], samples[k], values[k - 1], values[k], zeta_tol)
 
 
 def gamma_threshold(zeta: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -170,26 +242,33 @@ def gamma_threshold(zeta: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
                     rel_tol: float = 1e-4) -> float:
     """Inverse spread 1/Gamma at which the no-cloning indicator crosses 1/2.
 
-    The indicator decreases with 1/Gamma (less noise); bisection on
-    [inv_gamma_range] to the requested relative tolerance.
+    The indicator decreases with 1/Gamma (less noise).  Both ends of
+    inv_gamma_range are evaluated in one batch; the solve (:func:`_crossing`)
+    runs in u = log(1/Gamma) to the width 2 atanh(rel_tol/2), the log-width
+    of a bracket [a, b] with b - a = rel_tol (a + b)/2, and returns exp of
+    the midpoint, within rel_tol/2 of the crossing, relatively, to first
+    order.  The range must satisfy 0 < lo < hi < inf.
     """
-    def margin(inv_gamma: float) -> float:
-        lam = lambda_numeric(PacketFrame(1.0 / inv_gamma, zeta), cfg, method)
-        return cerf_indicator(lambda_probs(lam)) - CERF_THRESHOLD
-
+    _positive_tolerance("rel_tol", rel_tol)
     lo, hi = inv_gamma_range
-    mlo, mhi = margin(lo), margin(hi)
+    if not 0.0 < lo < hi < math.inf:
+        raise DomainError(
+            f"inv_gamma_range must satisfy 0 < lo < hi < inf, got {inv_gamma_range!r}")
+    lam_lo, lam_hi = _lambdas([PacketFrame(1.0 / lo, zeta), PacketFrame(1.0 / hi, zeta)],
+                              cfg, method)
+    mlo = _no_cloning_margin(_checked(lam_lo))
+    mhi = _no_cloning_margin(_checked(lam_hi))
     if not (mlo > 0.0 > mhi):
         raise ThresholdNotFoundError(
             f"no-cloning indicator does not cross 1/2 on {inv_gamma_range!r} "
             f"(margins {mlo!r}, {mhi!r})")
-    while (hi - lo) > rel_tol * 0.5 * (hi + lo):
-        mid = 0.5 * (lo + hi)
-        if margin(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # every bracket meets a relative tolerance of 2 or more
+    width = 2.0 * math.atanh(rel_tol / 2.0) if rel_tol < 2.0 else math.inf
+    u = _crossing(
+        lambda u: _no_cloning_margin(
+            lambda_numeric(PacketFrame(1.0 / math.exp(u), zeta), cfg, method)),
+        math.log(lo), math.log(hi), mlo, mhi, width)
+    return math.exp(u)
 
 
 ONE_PAULI_Y = probs_lambda(PauliProbs(0.5, 0.0, 0.5, 0.0))

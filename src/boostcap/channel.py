@@ -355,6 +355,15 @@ def _closed_integrals(frames: list[PacketFrame], cfg: QuadratureConfig) -> list[
             for g2, g5, g6, n_val in (vals / scales[:, None]).tolist()]
 
 
+def _cutoff_error(frame: PacketFrame) -> RangeError | None:
+    """The error of a frame whose cutoff angle rounds to 0 (zeta <= -19.25),
+    whose polar range is empty; None for every other frame."""
+    if theta_c(frame.zeta) > 0.0:
+        return None
+    return RangeError(f"cutoff angle of {frame!r} rounds to 0, far outside the validated "
+                      "domain |zeta| <= 10")
+
+
 @functools.lru_cache(maxsize=512)
 def _frame_integrals(gamma: float, zeta: float, cfg: QuadratureConfig, method: str) -> dict:
     """Kernel-weighted angular integrals of the profiles, plus N.
@@ -366,6 +375,8 @@ def _frame_integrals(gamma: float, zeta: float, cfg: QuadratureConfig, method: s
     one worklist (:func:`_oracle_integrals`), for every oracle reader.
     """
     frame = PacketFrame(gamma, zeta)
+    if (exc := _cutoff_error(frame)) is not None:
+        raise exc
     if method == "closed_profile":
         return _closed_integrals([frame], cfg)[0]
     if method != "quadrature":
@@ -397,9 +408,10 @@ def lambda_numeric(frame: PacketFrame, cfg: QuadratureConfig = DEFAULT_CONFIG,
     sweeps and solvers; its ``cfg.abs_tol`` applies to N-scaled integrals
     (see :func:`_closed_integrals`).  Validated domain: Gamma from 1e-3 to
     1e4 and |zeta| <= 10, where the fast path converges at the default and
-    sweep configs.  Eigenvalue excursions past [-1, 1] or outside the
-    probability simplex beyond 1e-9 raise IntegrityError; smaller ones are
-    clamped (quadrature noise).
+    sweep configs; a frame whose cutoff angle rounds to 0 (zeta <= -19.25)
+    raises RangeError before any quadrature.  Eigenvalue excursions past
+    [-1, 1] or outside the probability simplex beyond 1e-9 raise
+    IntegrityError; smaller ones are clamped (quadrature noise).
     """
     return _pauli_lambda(frame, _frame_integrals(frame.gamma, frame.zeta, cfg, method))
 
@@ -411,11 +423,12 @@ def lambda_batch(frames: list[PacketFrame],
     Each frame's entry is bit-identical to ``lambda_numeric(frame, cfg,
     "closed_profile")``, or is the error that belongs to that frame: a
     polar integral that did not converge (the batch is then run again
-    without it, so each such frame costs one more pass) or eigenvalues that
-    fail the channel checks.  Any other error propagates.
+    without it, so each such frame costs one more pass), eigenvalues that
+    fail the channel checks, or a cutoff angle that rounds to 0, found
+    before any quadrature.  Any other error propagates.
     """
-    out: list = [None] * len(frames)
-    live = list(range(len(frames)))
+    out: list = [_cutoff_error(frame) for frame in frames]
+    live = [k for k, exc in enumerate(out) if exc is None]
     while live:
         try:
             ints = _closed_integrals([frames[k] for k in live], cfg)

@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
+from boostcap import capacity
 from boostcap.capacity import (CERF_THRESHOLD, boost_threshold, capacity_report,
                                cerf_indicator, choi_matrix, classical_capacity,
                                eq7_check, frame_report, gamma_threshold,
                                hashing_bound, is_entanglement_breaking)
-from boostcap.channel import PauliLambda, PauliProbs, lambda_probs, probs_lambda
-from boostcap.errors import (DomainError, PreconditionError,
-                             ThresholdNotFoundError)
-from boostcap.quadrature import SWEEP_CONFIG
+from boostcap.channel import (PacketFrame, PauliLambda, PauliProbs, lambda_numeric,
+                              lambda_probs, probs_lambda)
+from boostcap.errors import (ConvergenceError, DomainError, IntegrityError,
+                             PreconditionError, RangeError, ThresholdNotFoundError)
+from boostcap.quadrature import DEFAULT_CONFIG, SWEEP_CONFIG
 from boostcap.special_functions import entropy
 
 
@@ -173,6 +177,192 @@ class TestGammaThreshold:
     def test_not_found_without_crossing(self):
         with pytest.raises(ThresholdNotFoundError):
             gamma_threshold(0.0, SWEEP_CONFIG, inv_gamma_range=(1.5, 2.0))
+
+
+class TestSolverArguments:
+    # every bad argument is rejected before any channel is evaluated
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_boost_tolerance(self, tol):
+        with pytest.raises(DomainError, match="zeta_tol"):
+            boost_threshold(20.0, zeta_tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_spread_tolerance(self, tol):
+        with pytest.raises(DomainError, match="rel_tol"):
+            gamma_threshold(0.0, rel_tol=tol)
+
+    @pytest.mark.parametrize("zeta_min", [0.0, 1.0, -math.inf, math.nan])
+    def test_zeta_min_domain(self, zeta_min):
+        with pytest.raises(DomainError, match="zeta_min"):
+            boost_threshold(20.0, zeta_min=zeta_min)
+
+    def test_zeta_min_outside_validated_domain(self):
+        with pytest.raises(RangeError, match="zeta_min"):
+            boost_threshold(20.0, zeta_min=-40.0)
+
+    @pytest.mark.parametrize("bounds", [(0.0, 2.0), (-1.0, 2.0), (2.0, 1e-4), (0.5, 0.5),
+                                        (1e-4, math.inf), (math.nan, 2.0)])
+    def test_inv_gamma_range(self, bounds):
+        with pytest.raises(DomainError, match="inv_gamma_range"):
+            gamma_threshold(0.0, inv_gamma_range=bounds)
+
+
+def _decreasing(kind: str, root: float):
+    if kind == "linear_cubic":
+        return lambda x: (root - x) + (root - x) ** 3
+    if kind == "tanh":
+        return lambda x: math.tanh(50.0 * (root - x))
+    if kind == "triple":
+        return lambda x: (root - x) ** 3
+    return lambda x: 1.0 if x < root else -1.0
+
+
+def test_crossing_meets_its_width_within_the_itp_budget():
+    # the accuracy contract of bisection, and at most bisection's count plus
+    # ITP's n0 = 2 (and 1 for rounding); a triple root is where Brent-Dekker
+    # would take up to three times bisection's count
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @hypothesis.given(kind=st.sampled_from(["linear_cubic", "tanh", "triple", "step"]),
+                      lo=st.floats(-10.0, 10.0), span=st.floats(1e-3, 20.0),
+                      frac=st.floats(1e-3, 1.0), log_width=st.floats(-8.0, -2.0))
+    def check(kind, lo, span, frac, log_width):
+        hi, width = lo + span, 10.0 ** log_width
+        root = lo + frac * span                 # lo < root <= hi
+        f = _decreasing(kind, root)
+        calls = []
+        x = capacity._crossing(lambda t: calls.append(t) or f(t), lo, hi, f(lo), f(hi), width)
+        # the midpoint of a bracket no wider than width, up to its rounding
+        assert abs(x - root) <= 0.5 * width + math.ulp(root)
+        assert len(calls) <= math.ceil(math.log2((hi - lo) / width)) + 3
+
+    check()
+
+
+@pytest.mark.parametrize("width", [1e-10, 1e-12, 1e-14])
+def test_crossing_near_float_resolution(width):
+    # below the property test's widths; without the projection step a triple
+    # root here takes thousands of evaluations
+    f = _decreasing("triple", 0.9)
+    calls = []
+    x = capacity._crossing(lambda t: calls.append(t) or f(t), 0.0, 1.0, f(0.0), f(1.0), width)
+    assert abs(x - 0.9) <= 0.5 * width + math.ulp(0.9)
+    assert len(calls) <= math.ceil(math.log2(1.0 / width)) + 3
+
+
+def test_crossing_with_the_root_at_the_end_of_the_bracket():
+    # f(hi) = 0 puts the regula falsi point on hi itself, where an evaluation
+    # would not shrink the bracket; the midpoint is taken instead
+    f = _decreasing("linear_cubic", 1.0)
+    calls = []
+    x = capacity._crossing(lambda t: calls.append(t) or f(t), 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+    assert abs(x - 1.0) <= 0.5e-12
+    assert len(calls) <= 20             # bisection: 40; without the midpoint: 37
+
+
+def test_crossing_stops_at_adjacent_floats():
+    f = _decreasing("linear_cubic", 0.3)
+    assert abs(capacity._crossing(f, 0.0, 1.0, f(0.0), f(1.0), 1e-300) - 0.3) <= math.ulp(0.3)
+
+
+class TestSolverBudgets:
+    @pytest.fixture
+    def frames(self, monkeypatch):
+        # frames, not calls: a batch of five counts five
+        count = [0]
+        numeric, batch = capacity.lambda_numeric, capacity.lambda_batch
+
+        def one(frame, *args):
+            count[0] += 1
+            return numeric(frame, *args)
+
+        def many(frames, cfg):
+            count[0] += len(frames)
+            return batch(frames, cfg)
+
+        monkeypatch.setattr(capacity, "lambda_numeric", one)
+        monkeypatch.setattr(capacity, "lambda_batch", many)
+        return count
+
+    def test_boost_threshold(self, frames):
+        boost_threshold(20.0, DEFAULT_CONFIG)
+        assert frames[0] <= 12          # bisection took 22
+
+    def test_gamma_threshold(self, frames):
+        gamma_threshold(0.0, DEFAULT_CONFIG)
+        assert frames[0] <= 10          # bisection took 21
+
+    # the benchmark's six solves; its check reads the sign change across
+    # root -/+ one tolerance
+    @pytest.mark.parametrize("gamma", [20.0, 50.0, 200.0])
+    def test_boost_root_brackets_the_sign_change(self, gamma):
+        root = boost_threshold(gamma, SWEEP_CONFIG)
+
+        def raw(z):
+            lam = lambda_numeric(PacketFrame(gamma, z), SWEEP_CONFIG, "closed_profile")
+            return hashing_bound(lambda_probs(lam))[0]
+
+        assert raw(root - 1e-4) > 0.0 >= raw(root + 1e-4)
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.5, 1.0])
+    def test_spread_root_brackets_the_sign_change(self, zeta):
+        root = gamma_threshold(zeta, SWEEP_CONFIG)
+
+        def margin(inv_gamma):
+            lam = lambda_numeric(PacketFrame(1.0 / inv_gamma, zeta), SWEEP_CONFIG,
+                                 "closed_profile")
+            return cerf_indicator(lambda_probs(lam)) - CERF_THRESHOLD
+
+        assert margin(root * (1 - 1e-4)) > 0.0 >= margin(root * (1 + 1e-4))
+
+
+class TestBoostErrorPrecedence:
+    # the five guard samples come from one batch; their errors are raised in
+    # the order the serial guard met them: rest, precondition, zeta_min, no
+    # crossing, interior samples, monotonicity
+    @pytest.fixture
+    def guard(self, monkeypatch):
+        good = {z: lambda_numeric(PacketFrame(20.0, z), SWEEP_CONFIG, "closed_profile")
+                for z in (-10.0, -7.5, -5.0, -2.5, 0.0)}
+        entries = list(good.values())
+        monkeypatch.setattr(capacity, "lambda_batch", lambda frames, cfg: list(entries))
+        return entries
+
+    @staticmethod
+    def _error(where):
+        return ConvergenceError(f"at {where}", 0.0, 1.0)
+
+    def test_rest_error_first(self, guard):
+        guard[4], guard[0], guard[2] = self._error(0), self._error(-10), self._error(-5)
+        with pytest.raises(ConvergenceError, match="at 0 "):
+            boost_threshold(20.0, SWEEP_CONFIG)
+
+    def test_precondition_before_zeta_min_error(self, guard):
+        guard[4], guard[0] = PauliLambda(1.0, 1.0, 1.0), self._error(-10)
+        with pytest.raises(PreconditionError):
+            boost_threshold(20.0, SWEEP_CONFIG)
+
+    def test_zeta_min_error_before_no_crossing_and_interior(self, guard):
+        guard[0], guard[2] = self._error(-10), self._error(-5)
+        with pytest.raises(ConvergenceError, match="at -10 "):
+            boost_threshold(20.0, SWEEP_CONFIG)
+
+    def test_no_crossing_before_interior_error(self, guard):
+        guard[0], guard[2] = guard[4], self._error(-5)
+        with pytest.raises(ThresholdNotFoundError):
+            boost_threshold(20.0, SWEEP_CONFIG)
+
+    def test_interior_error_before_monotonicity(self, guard):
+        guard[1], guard[3] = guard[4], self._error(-2.5)
+        with pytest.raises(ConvergenceError, match="at -2.5 "):
+            boost_threshold(20.0, SWEEP_CONFIG)
+
+    def test_monotonicity(self, guard):
+        guard[1] = guard[4]
+        with pytest.raises(IntegrityError, match="not monotone"):
+            boost_threshold(20.0, SWEEP_CONFIG)
 
 
 class TestEq7:

@@ -340,6 +340,20 @@ class TestLambdaNumeric:
         assert "array(" not in str(exc)
 
     @pytest.mark.parametrize("method", ["closed_profile", "quadrature"])
+    def test_zero_cutoff_angle_is_a_range_error(self, method):
+        # theta_c = acos(-tanh zeta) rounds to 0 for zeta <= -19.25: the polar
+        # range is empty, and the frame is refused before any quadrature
+        assert theta_c(-20.0) == 0.0 < theta_c(-19.0)
+        with pytest.raises(RangeError, match="cutoff angle"):
+            lambda_numeric(PacketFrame(20.0, -20.0), DEFAULT_CONFIG, method)
+
+    def test_zero_cutoff_angle_is_its_frame_entry_in_a_batch(self):
+        frames = [PacketFrame(20.0, -20.0), PacketFrame(20.0, -1.0), PacketFrame(1.0, -25.0)]
+        out = channel.lambda_batch(frames, DEFAULT_CONFIG)
+        assert isinstance(out[0], RangeError) and isinstance(out[2], RangeError)
+        assert out[1] == lambda_numeric(frames[1], DEFAULT_CONFIG, "closed_profile")
+
+    @pytest.mark.parametrize("method", ["closed_profile", "quadrature"])
     def test_eigenvalues_are_python_floats(self, cfg, method):
         # numpy scalars would leak numpy bools into sweep rows and manifests
         lam = lambda_numeric(PacketFrame(0.5, 0.5), cfg, method)

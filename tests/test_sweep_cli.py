@@ -152,6 +152,12 @@ class TestBatchedSweep:
         assert passes == [5, 4]
         assert rows[:4] == run_sweep(SweepSpec("zeta", 2.0, 5.0, 4, 1.0), budget)
 
+    @pytest.mark.parametrize("method", ["closed_profile", "quadrature"])
+    def test_zero_cutoff_angle_is_flagged(self, method):
+        # the cutoff angle rounds to 0 at zeta = -21 and -20
+        rows = run_sweep(SweepSpec("zeta", -21.0, -18.0, 4, 0.05), SWEEP_CONFIG, method)
+        assert [r["status"] for r in rows] == ["error:RangeError"] * 2 + ["ok"] * 2
+
     def test_point_without_a_frame_is_flagged(self):
         # 1/inv_gamma overflows at the first point, so its chunk cannot be
         # batched; each point of it is evaluated and flagged on its own
@@ -250,6 +256,10 @@ class TestCli:
         # this frame once exhausted the polar budget and exited 3
         assert main(["lambdas", "--gamma", "1000", "--zeta", "8"]) == 0
         assert json.loads(capsys.readouterr().out)["l2"] < -0.999
+
+    def test_zero_cutoff_angle_usage_error(self, capsys):
+        assert main(["lambdas", "--gamma", "20", "--zeta", "-20"]) == 2
+        assert "cutoff angle" in capsys.readouterr().err
 
     def test_nonconvergence_exit_code(self, capsys):
         code = main(["capacity", "--gamma", "1.0", "--max-subdivisions", "1"])
