@@ -138,21 +138,6 @@ def _no_cloning_margin(lam: PauliLambda) -> float:
     return cerf_indicator(lambda_probs(lam)) - CERF_THRESHOLD
 
 
-def _lambdas(frames: list[PacketFrame], cfg: QuadratureConfig,
-             method: str) -> list[PauliLambda | BoostcapError]:
-    """Each frame's eigenvalues or its own error, as :func:`run_sweep` gets them:
-    one batched worklist on the fast path, one frame at a time otherwise."""
-    if method == "closed_profile":
-        return lambda_batch(frames, cfg)
-    out: list = []
-    for frame in frames:
-        try:
-            out.append(lambda_numeric(frame, cfg, method))
-        except BoostcapError as exc:
-            out.append(exc)
-    return out
-
-
 def _checked(entry: PauliLambda | BoostcapError) -> PauliLambda:
     if isinstance(entry, BoostcapError):
         raise entry
@@ -203,13 +188,13 @@ def boost_threshold(gamma: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
                     zeta_tol: float = 1e-4) -> float:
     """Rapidity at which the raw hashing bound of a zero-capacity packet crosses 0.
 
-    Samples zeta_min, its three quarter points and 0 in one batch, then
-    solves on the quarter-range bracket they give (:func:`_crossing`), to
-    within zeta_tol/2 of the crossing.  Requires the rest-frame channel to
-    have a non-positive raw hashing bound (otherwise there is nothing to
-    boost past) and validates that the bound decreases monotonically along
-    the samples toward zeta = 0.  zeta_min must lie in [-10, 0), the
-    validated domain.
+    Samples zeta_min, its three quarter points and 0 in one
+    :func:`lambda_batch`, then solves on the quarter-range bracket they give
+    (:func:`_crossing`), to within zeta_tol/2 of the crossing.  Requires the
+    rest-frame channel to have a non-positive raw hashing bound (otherwise
+    there is nothing to boost past) and validates that the bound decreases
+    monotonically along the samples toward zeta = 0.  zeta_min must lie in
+    [-10, 0), the validated domain.
     """
     _positive_tolerance("zeta_tol", zeta_tol)
     if not (math.isfinite(zeta_min) and zeta_min < 0.0):
@@ -217,7 +202,7 @@ def boost_threshold(gamma: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     if zeta_min < -10.0:
         raise RangeError(f"zeta_min {zeta_min!r} is outside the validated domain |zeta| <= 10")
     samples = [zeta_min, 0.75 * zeta_min, 0.5 * zeta_min, 0.25 * zeta_min, 0.0]
-    lams = _lambdas([PacketFrame(gamma, z) for z in samples], cfg, method)
+    lams = lambda_batch([PacketFrame(gamma, z) for z in samples], cfg, method)
     f0 = _hashing_raw(_checked(lams[-1]))
     if f0 > 0.0:
         raise PreconditionError(
@@ -243,19 +228,20 @@ def gamma_threshold(zeta: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     """Inverse spread 1/Gamma at which the no-cloning indicator crosses 1/2.
 
     The indicator decreases with 1/Gamma (less noise).  Both ends of
-    inv_gamma_range are evaluated in one batch; the solve (:func:`_crossing`)
-    runs in u = log(1/Gamma) to the width 2 atanh(rel_tol/2), the log-width
-    of a bracket [a, b] with b - a = rel_tol (a + b)/2, and returns exp of
-    the midpoint, within rel_tol/2 of the crossing, relatively, to first
-    order.  The range must satisfy 0 < lo < hi < inf.
+    inv_gamma_range are evaluated in one :func:`lambda_batch`; the solve
+    (:func:`_crossing`) runs in u = log(1/Gamma) to the width
+    2 atanh(rel_tol/2), the log-width of a bracket [a, b] with b - a =
+    rel_tol (a + b)/2, and returns exp of the midpoint, within rel_tol/2 of
+    the crossing, relatively, to first order.  The range must satisfy
+    0 < lo < hi < inf.
     """
     _positive_tolerance("rel_tol", rel_tol)
     lo, hi = inv_gamma_range
     if not 0.0 < lo < hi < math.inf:
         raise DomainError(
             f"inv_gamma_range must satisfy 0 < lo < hi < inf, got {inv_gamma_range!r}")
-    lam_lo, lam_hi = _lambdas([PacketFrame(1.0 / lo, zeta), PacketFrame(1.0 / hi, zeta)],
-                              cfg, method)
+    lam_lo, lam_hi = lambda_batch([PacketFrame(1.0 / lo, zeta), PacketFrame(1.0 / hi, zeta)],
+                                  cfg, method)
     mlo = _no_cloning_margin(_checked(lam_lo))
     mhi = _no_cloning_margin(_checked(lam_hi))
     if not (mlo > 0.0 > mhi):

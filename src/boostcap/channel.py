@@ -17,10 +17,10 @@ pins this choice.
 Two evaluation routes exist for every azimuthal profile: adaptive quadrature
 (the baseline and oracle) and closed forms in complete elliptic integrals;
 the fast route must track the baseline to 1e-9 and is what parameter sweeps
-use.  The oracle integrates the six profile kinds as six problems of one
-polar worklist, and the azimuthal integrals of each polar round as one
-batched worklist per kind.  A notable consequence of the closed forms: the
-l3 profile vanishes identically on the backward hemisphere t > pi/2.
+use.  Either route runs many frames as one worklist (:func:`lambda_batch`),
+the oracle with its azimuthal integrals as one batched worklist per kind.
+A notable consequence of the closed forms: the l3 profile vanishes
+identically on the backward hemisphere t > pi/2.
 """
 
 from __future__ import annotations
@@ -264,32 +264,51 @@ def _closed_rows(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             -4.0 * c * K / (2.0 - u))
 
 
-def _oracle_integrals(frame: PacketFrame, cfg: QuadratureConfig) -> dict:
-    """Polar integrals of K times the adaptive profile of every kind, in one worklist.
+def _oracle_integrals(frames: list[PacketFrame], cfg: QuadratureConfig) -> list[dict]:
+    """Polar integrals of K times the adaptive profile of every kind and
+    frame, in one worklist, and each frame's quadrature N.
 
-    Each kind is one problem over [0, theta_c) with its own seeds, partition
-    and budget; the kinds never share a partition.  Each polar round
-    evaluates the kernel once and runs one batched azimuthal worklist per
-    kind on that kind's live nodes, so each kind gets the bits it gets alone.
+    Each (frame, kind) pair is one problem over [0, theta_c) with its own
+    seeds, partition and budget.  Each polar round evaluates the kernel of
+    every frame's nodes at once and runs one batched azimuthal worklist per
+    kind on its live nodes, so each pair gets the bits it gets alone.  A
+    ConvergenceError carries the index of its frame.
     """
+    n = len(PROFILE_KINDS)
+    table = np.array([frame_coefficients(f) for f in frames]).T
+
     def outer(ts: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        kv = kernel_values(ts, frame)
+        at, kinds = np.divmod(idx, n)
+        kv = frames_kernel_values(ts, *table[:, at])
         vals = np.zeros_like(kv)
         for k, kind in enumerate(PROFILE_KINDS):
-            mine = (idx == k) & (kv > 0.0)
-            vals[mine] = kv[mine] * _azimuthal_profiles(kind, ts[mine], cfg)
+            mine = (kinds == k) & (kv > 0.0)
+            try:
+                vals[mine] = kv[mine] * _azimuthal_profiles(kind, ts[mine], cfg)
+            except ConvergenceError as exc:
+                exc.problem = int(at[mine][exc.problem])    # the node's frame
+                raise
         return vals
 
-    n = len(PROFILE_KINDS)
     try:
-        vals, _ = integrate_batch(outer, [0.0] * n, [theta_c(frame.zeta)] * n, cfg,
-                                  [theta_breakpoints(frame)] * n)
+        vals, _ = integrate_batch(outer, [0.0] * (n * len(frames)),
+                                  [theta_c(f.zeta) for f in frames for _ in PROFILE_KINDS], cfg,
+                                  [bps for f in frames for bps in [theta_breakpoints(f)] * n])
     except ConvergenceError as exc:
         if exc.__cause__ is not None:   # the polar worklist's own error has none
             raise                       # an azimuthal profile's, located already
-        raise _located(f"{PROFILE_KINDS[exc.problem]} polar integral at {frame!r}",
-                       cfg, exc.estimate, exc.error_bound) from exc
-    return dict(zip(PROFILE_KINDS, vals.tolist()))
+        p, k = divmod(exc.problem, n)
+        raise _located(f"{PROFILE_KINDS[k]} polar integral at {frames[p]!r}",
+                       cfg, exc.estimate, exc.error_bound, p) from exc
+    out = []
+    for p, frame in enumerate(frames):
+        try:
+            out.append(dict(zip(PROFILE_KINDS, vals[p * n:(p + 1) * n].tolist()),
+                            norm=normalization(frame, "quadrature", cfg)))
+        except ConvergenceError as exc:
+            exc.problem = p
+            raise
+    return out
 
 
 def _closed_seeds(frame: PacketFrame) -> list[float]:
@@ -364,24 +383,29 @@ def _cutoff_error(frame: PacketFrame) -> RangeError | None:
                       "domain |zeta| <= 10")
 
 
+def _integrals(method: str):
+    """The function ``(frames, cfg) -> list[dict]`` of ``method``, looked up when called."""
+    if method == "closed_profile":
+        return _closed_integrals
+    if method == "quadrature":
+        return _oracle_integrals
+    raise DomainError(f"unknown lambda method {method!r}")
+
+
 @functools.lru_cache(maxsize=512)
 def _frame_integrals(gamma: float, zeta: float, cfg: QuadratureConfig, method: str) -> dict:
-    """Kernel-weighted angular integrals of the profiles, plus N.
+    """Kernel-weighted angular integrals of the profiles, plus N: the cached
+    one-frame call of :func:`_closed_integrals` or :func:`_oracle_integrals`.
 
-    The fast path integrates s K (g2, g5, g6, 1), s a power of two near
-    2 pi / N, in one vector-valued pass, so N's quadrature error correlates
-    with that of the numerators; it is the one-frame call of
-    :func:`_closed_integrals`.  The oracle's entry holds all six kinds, from
-    one worklist (:func:`_oracle_integrals`), for every oracle reader.
+    The fast path's N comes from the same vector-valued pass as the
+    numerators, so their quadrature errors correlate.  The oracle's entry
+    holds all six kinds, for every oracle reader.
     """
+    integrals = _integrals(method)
     frame = PacketFrame(gamma, zeta)
     if (exc := _cutoff_error(frame)) is not None:
         raise exc
-    if method == "closed_profile":
-        return _closed_integrals([frame], cfg)[0]
-    if method != "quadrature":
-        raise DomainError(f"unknown lambda method {method!r}")
-    return {**_oracle_integrals(frame, cfg), "norm": normalization(frame, "quadrature", cfg)}
+    return integrals([frame], cfg)[0]
 
 
 def _pauli_lambda(frame: PacketFrame, ints: dict) -> PauliLambda:
@@ -416,22 +440,23 @@ def lambda_numeric(frame: PacketFrame, cfg: QuadratureConfig = DEFAULT_CONFIG,
     return _pauli_lambda(frame, _frame_integrals(frame.gamma, frame.zeta, cfg, method))
 
 
-def lambda_batch(frames: list[PacketFrame],
-                 cfg: QuadratureConfig) -> list[PauliLambda | BoostcapError]:
-    """Fast-path eigenvalues of many frames from one batched worklist.
+def lambda_batch(frames: list[PacketFrame], cfg: QuadratureConfig,
+                 method: str = "closed_profile") -> list[PauliLambda | BoostcapError]:
+    """Eigenvalues of many frames from one batched worklist of the method.
 
     Each frame's entry is bit-identical to ``lambda_numeric(frame, cfg,
-    "closed_profile")``, or is the error that belongs to that frame: a
-    polar integral that did not converge (the batch is then run again
-    without it, so each such frame costs one more pass), eigenvalues that
-    fail the channel checks, or a cutoff angle that rounds to 0, found
-    before any quadrature.  Any other error propagates.
+    method)``, or is the error that belongs to that frame: an integral that
+    did not converge (the batch is then run again without it, so each such
+    frame costs one more pass), eigenvalues that fail the channel checks,
+    or a cutoff angle that rounds to 0, found before any quadrature, as is
+    an unknown method's DomainError.  Any other error propagates.
     """
+    integrals = _integrals(method)
     out: list = [_cutoff_error(frame) for frame in frames]
     live = [k for k, exc in enumerate(out) if exc is None]
     while live:
         try:
-            ints = _closed_integrals([frames[k] for k in live], cfg)
+            ints = integrals([frames[k] for k in live], cfg)
         except ConvergenceError as exc:
             k = live.pop(exc.problem)
             exc.problem = k             # its index in ``frames``, not in this pass

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: lambdas, capacity, sweep-gamma, sweep-zeta, threshold-boost,
-threshold-gamma, verify, wigner-check.  Exit codes: 0 success, 1 invariant
+threshold-gamma, verify.  Exit codes: 0 success, 1 invariant
 failure, 2 usage error, 3 numerical non-convergence.
 
 Quadrature settings come from (in increasing precedence) built-in sweep
@@ -28,7 +28,7 @@ from .quadrature import QuadratureConfig
 from .sweep import (SweepSpec, check_no_nan, load_config_file, make_manifest,
                     render_csv, resolve_quadrature_config, run_sweep,
                     write_csv, write_json, write_svg)
-from .verify import little_group_worst, run_verify
+from .verify import run_verify
 from .wavepacket import normalization
 
 _USAGE_ERRORS = (DomainError, RangeError, PreconditionError)
@@ -166,14 +166,6 @@ def _cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
-def _cmd_wigner_check(args) -> int:
-    worst = little_group_worst(args.samples, args.seed)
-    passed = all(v <= 1e-10 for v in worst.values())
-    _emit({"samples": args.samples, "seed": args.seed, "tolerance": 1e-10,
-           "worst": worst, "passed": passed})
-    return 0 if passed else 1
-
-
 def _cmd_threshold_boost(args) -> int:
     cfg = _quadrature_from(args)
     gamma = _gamma_from(args)
@@ -240,12 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-lambda2-sign-flip", action="store_true",
                    help=argparse.SUPPRESS)  # negative control for the suite
     p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("wigner-check",
-                       help="random sweep of the vanishing-rotation theorem")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=20240229)
-    p.set_defaults(fn=_cmd_wigner_check)
 
     return parser
 

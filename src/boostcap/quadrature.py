@@ -161,7 +161,7 @@ def integrate_batch(
     all new intervals share one integrand call.  Every problem, scalar or
     rows-valued, gets the bits that :func:`integrate` gives it alone.
     Returns estimates and bounds as arrays of shape (P,), or (P, k); a
-    zero-width scalar problem integrates to 0.  The first problem to exhaust
+    zero-width problem integrates to zeros.  The first problem to exhaust
     its budget, the lowest index among those that exhaust it in the same
     round, raises :class:`ConvergenceError` with its own estimate, bound and
     index.  An error that ``f`` raises propagates unchanged.
@@ -178,8 +178,9 @@ def _worklist(f, a, b, cfg, breakpoints):
     call ``f(x, idx)``, reduces them in one GK15 batch and hands each problem
     its slice.
     """
-    results = [(0.0, 0.0)] * len(a)      # a zero-width problem integrates to 0
+    results = [None] * len(a)
     pending = {}                         # problem -> (its loop, the intervals it asks for)
+    empty = []                           # the zero-width problems
     for p, (lo, hi, bps) in enumerate(zip(a, b, breakpoints)):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("integration endpoints must be finite")
@@ -188,6 +189,13 @@ def _worklist(f, a, b, cfg, breakpoints):
         if hi > lo:
             loop = _refine(cfg, lo, hi, bps)
             pending[p] = loop, next(loop)
+        else:
+            empty.append(p)
+    if empty:
+        # zeros of the row shape that the integrand returns at their points
+        shape = np.shape(f(np.array([a[p] for p in empty], dtype=float), np.array(empty)))[:-1]
+        for p in empty:
+            results[p] = (np.zeros(shape), np.zeros(shape)) if shape else (0.0, 0.0)
     while pending:
         rounds = list(pending.items())
         lows, highs, counts = [], [], []

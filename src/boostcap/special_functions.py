@@ -130,10 +130,6 @@ def erf_family(x: float) -> ErfTriple:
     return ErfTriple(-erf_p, 2.0 - erfc_p, erfcx_n)
 
 
-def erfcx(x: float) -> float:
-    return erf_family(x).erfcx
-
-
 def erfi(x: float) -> float:
     """Imaginary error function (2/sqrt(pi)) int_0^x exp(t^2) dt.
 

@@ -47,8 +47,8 @@ COLUMNS = (
 
 _FLOAT_COLUMNS = frozenset(COLUMNS[1:14])
 
-# grid points per batched fast-path worklist; it bounds the heaps and node
-# arrays alive at once, and so the sweep's peak memory
+# grid points per batched worklist; it bounds the heaps and node arrays
+# alive at once, and so the sweep's peak memory
 CHUNK_FRAMES = 32
 
 
@@ -138,13 +138,13 @@ def _row(index: int, inv_gamma: float, zeta: float, lam: PauliLambda | BoostcapE
     return row
 
 
-def _eval_chunk(points: list[tuple], cfg: QuadratureConfig) -> list[dict]:
-    """Fast-path rows of a few grid points from one batched worklist."""
+def _eval_chunk(points: list[tuple], cfg: QuadratureConfig, method: str) -> list[dict]:
+    """Rows of a few grid points from one batched worklist of the method."""
     try:
-        lams = lambda_batch([PacketFrame(1.0 / ig, z) for _, ig, z in points], cfg)
+        lams = lambda_batch([PacketFrame(1.0 / ig, z) for _, ig, z in points], cfg, method)
     except BoostcapError:
         # not an error of one frame: each point on its own flags its own
-        return [_eval_point(i, ig, z, cfg, "closed_profile") for i, ig, z in points]
+        return [_eval_point(i, ig, z, cfg, method) for i, ig, z in points]
     return [_row(i, ig, z, lam) for (i, ig, z), lam in zip(points, lams)]
 
 
@@ -152,21 +152,18 @@ def run_sweep(spec: SweepSpec, cfg: QuadratureConfig = SWEEP_CONFIG,
               method: str = "closed_profile", jobs: int | None = None) -> list[dict]:
     """Evaluate the sweep grid in this process; failed points are flagged rows.
 
-    The fast path (``closed_profile``) runs batched worklists of at most
-    ``CHUNK_FRAMES`` grid points, bit-identical to one point at a time;
-    ``quadrature`` evaluates one point at a time.  ``jobs`` is accepted and
-    ignored: sweeps start no worker processes, and callers that still pass
-    it keep working.
+    Either method runs batched worklists of at most ``CHUNK_FRAMES`` grid
+    points, each row bit-identical to its point evaluated alone.  ``jobs``
+    is accepted and ignored: sweeps start no worker processes, and callers
+    that still pass it keep working.
     """
     points = []
     for i, x in enumerate(spec.grid()):
         inv_gamma, zeta = (x, spec.fixed) if spec.axis == "inv_gamma" else (spec.fixed, x)
         points.append((i, inv_gamma, zeta))
-    if method != "closed_profile":
-        return [_eval_point(i, ig, z, cfg, method) for i, ig, z in points]
     rows = []
     for start in range(0, len(points), CHUNK_FRAMES):
-        rows += _eval_chunk(points[start:start + CHUNK_FRAMES], cfg)
+        rows += _eval_chunk(points[start:start + CHUNK_FRAMES], cfg, method)
     return rows
 
 

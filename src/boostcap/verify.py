@@ -146,7 +146,7 @@ def _check_lorentz_metric(level: str) -> tuple[float, float, str]:
 
 def little_group_worst(samples: int, seed: int) -> dict[str, float]:
     """Worst residuals of the little-group theorem over random z-boosts of
-    random null momenta; shared by verify and the wigner-check command."""
+    random null momenta, for verify's little-group check."""
     rng = np.random.default_rng(seed)
     worst = dict.fromkeys(("wigner_angle", "a2", "a1_vs_theory", "reconstruction",
                            "fixes_standard_vector"), 0.0)

@@ -1,9 +1,11 @@
 """The benchmark's workloads and checks still fit the package.
 
 ``bench/workloads.py`` runs a curve through ``run_sweep`` with ``jobs=None``
-when timed and ``jobs=1`` when traced, and ``bench/checks.py`` judges the
+when timed and ``jobs=1`` when traced, and the threshold solves and oracle
+bundles through their public entry points; ``bench/checks.py`` judges the
 output.  The benchmark's own tests live outside this suite, so a change to
-the sweep that breaks either call would otherwise go unseen here.
+the sweep, the solvers or the oracle that breaks a call or an output check
+would otherwise go unseen here.
 """
 
 import importlib.util
@@ -37,3 +39,19 @@ def test_curve_op_passes_its_checks_at_both_job_settings(bench):
     assert checks.check_op(op, traced) == []
     assert timed["csv"] == traced["csv"]
     assert all(checks.negative_controls(op, timed).values())
+
+
+@pytest.mark.parametrize("kind, label, args", [
+    ("boost_threshold", "boost@gamma=20", (20.0,)),
+    ("gamma_threshold", "spread@zeta=0.5", (0.5,)),
+    ("bundle", "bundle", ((1.0, 0.5),)),
+], ids=["boost", "spread", "bundle"])
+def test_solver_and_oracle_ops_pass_their_checks(bench, kind, label, args):
+    # a solver or oracle change that the benchmark would refuse as an
+    # incorrect output fails here first
+    workloads, checks = bench
+    op = workloads.Op(kind, label, args)
+    out = workloads.run_op(op)
+    assert checks.check_op(op, out) == []
+    controls = checks.negative_controls(op, out)
+    assert controls and all(controls.values())

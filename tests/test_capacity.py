@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from boostcap import capacity
+from boostcap import capacity, quadrature
 from boostcap.capacity import (CERF_THRESHOLD, boost_threshold, capacity_report,
                                cerf_indicator, choi_matrix, classical_capacity,
                                eq7_check, frame_report, gamma_threshold,
@@ -200,6 +200,12 @@ class TestSolverArguments:
         with pytest.raises(RangeError, match="zeta_min"):
             boost_threshold(20.0, zeta_min=-40.0)
 
+    @pytest.mark.parametrize("solve", [boost_threshold, gamma_threshold])
+    def test_unknown_method(self, solve, monkeypatch):
+        monkeypatch.setattr(quadrature, "_gk15", None)      # no quadrature runs
+        with pytest.raises(DomainError, match="unknown lambda method 'bogus'"):
+            solve(0.5 if solve is gamma_threshold else 20.0, SWEEP_CONFIG, method="bogus")
+
     @pytest.mark.parametrize("bounds", [(0.0, 2.0), (-1.0, 2.0), (2.0, 1e-4), (0.5, 0.5),
                                         (1e-4, math.inf), (math.nan, 2.0)])
     def test_inv_gamma_range(self, bounds):
@@ -278,9 +284,9 @@ class TestSolverBudgets:
             count[0] += 1
             return numeric(frame, *args)
 
-        def many(frames, cfg):
+        def many(frames, *args):
             count[0] += len(frames)
-            return batch(frames, cfg)
+            return batch(frames, *args)
 
         monkeypatch.setattr(capacity, "lambda_numeric", one)
         monkeypatch.setattr(capacity, "lambda_batch", many)
@@ -327,7 +333,7 @@ class TestBoostErrorPrecedence:
         good = {z: lambda_numeric(PacketFrame(20.0, z), SWEEP_CONFIG, "closed_profile")
                 for z in (-10.0, -7.5, -5.0, -2.5, 0.0)}
         entries = list(good.values())
-        monkeypatch.setattr(capacity, "lambda_batch", lambda frames, cfg: list(entries))
+        monkeypatch.setattr(capacity, "lambda_batch", lambda frames, *args: list(entries))
         return entries
 
     @staticmethod

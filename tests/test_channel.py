@@ -278,8 +278,9 @@ class TestLambdaNumeric:
             return integrate(outer, 0.0, theta_c(frame.zeta), SWEEP_CONFIG,
                              breakpoints=theta_breakpoints(frame))[0]
 
-        got = channel._oracle_integrals(frame, SWEEP_CONFIG)
-        assert list(got) == list(channel.PROFILE_KINDS)
+        [got] = channel._oracle_integrals([frame], SWEEP_CONFIG)
+        assert list(got) == [*channel.PROFILE_KINDS, "norm"]
+        assert got["norm"] == normalization(frame, "quadrature", SWEEP_CONFIG)
         for kind in channel.PROFILE_KINDS:
             assert got[kind].hex() == alone(kind).hex(), kind
 
@@ -352,6 +353,44 @@ class TestLambdaNumeric:
         out = channel.lambda_batch(frames, DEFAULT_CONFIG)
         assert isinstance(out[0], RangeError) and isinstance(out[2], RangeError)
         assert out[1] == lambda_numeric(frames[1], DEFAULT_CONFIG, "closed_profile")
+
+    def test_oracle_batch_is_each_frame_alone(self):
+        # approaching, rest and receding frames share one oracle worklist,
+        # and the cutoff frame is refused before it
+        frames = [PacketFrame(0.5, -1.0), PacketFrame(1.0, 0.0), PacketFrame(0.5, 0.5),
+                  PacketFrame(20.0, -21.0)]
+        out = channel.lambda_batch(frames, SWEEP_CONFIG, "quadrature")
+        assert isinstance(out[3], RangeError)
+        channel._frame_integrals.cache_clear()
+        for frame, lam in zip(frames[:3], out):
+            alone = lambda_numeric(frame, SWEEP_CONFIG, "quadrature")
+            assert [v.hex() for v in lam.as_tuple()] == [v.hex() for v in alone.as_tuple()]
+
+    @pytest.mark.parametrize("budget, frames, failing, where", [
+        # (20, -1) alone exhausts 8 polar subdivisions
+        (8, [(1.0, -1.0), (20.0, -1.0), (0.1, -2.0)], 1, " polar integral at "),
+        # (1, 0.5) alone exhausts 30 subdivisions of a g6 azimuthal profile
+        (30, [(1.0, -1.0), (1.0, 0.0), (1.0, 0.5), (0.5, 0.5)], 2, " azimuthal profile at "),
+    ], ids=["polar", "azimuthal"])
+    def test_oracle_batch_flags_the_frame_that_fails(self, budget, frames, failing, where):
+        starved = QuadratureConfig(SWEEP_CONFIG.abs_tol, SWEEP_CONFIG.rel_tol, budget)
+        frames = [PacketFrame(*f) for f in frames]
+        out = channel.lambda_batch(frames, starved, "quadrature")
+        assert [k for k, lam in enumerate(out) if not isinstance(lam, PauliLambda)] == [failing]
+        assert isinstance(out[failing], ConvergenceError) and out[failing].problem == failing
+        assert where in str(out[failing])
+        for k, (frame, lam) in enumerate(zip(frames, out)):
+            if k != failing:
+                alone = lambda_numeric(frame, starved, "quadrature")
+                assert [v.hex() for v in lam.as_tuple()] == [v.hex() for v in alone.as_tuple()]
+
+    def test_unknown_method_is_refused_before_any_quadrature(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_gk15", None)
+        frames = [PacketFrame(1.0, 0.5), PacketFrame(20.0, -21.0)]
+        with pytest.raises(DomainError, match="unknown lambda method 'bogus'"):
+            channel.lambda_batch(frames, SWEEP_CONFIG, "bogus")
+        with pytest.raises(DomainError, match="unknown lambda method 'bogus'"):
+            lambda_numeric(frames[0], SWEEP_CONFIG, "bogus")
 
     @pytest.mark.parametrize("method", ["closed_profile", "quadrature"])
     def test_eigenvalues_are_python_floats(self, cfg, method):

@@ -91,6 +91,11 @@ class TestVectorIntegrand:
             assert abs(val - alone) <= err + alone_err
             assert err <= max(cfg.abs_tol, cfg.rel_tol * abs(val))
 
+    def test_zero_width_rows_integrate_to_zero_rows(self):
+        vals, errs = integrate(lambda x: np.array([x, x]), 1.0, 1.0)
+        assert vals.shape == errs.shape == (2,)
+        assert not vals.any() and not errs.any()
+
     def test_nonfinite_component_rejected(self):
         def f(x):
             with np.errstate(divide="ignore"):
@@ -158,6 +163,19 @@ class TestBatch:
             raise AssertionError("integrand called for an empty batch")
         vals, errs = integrate_batch(f, [], [], cfg, [])
         assert vals.shape == errs.shape == (0,)
+
+    def test_zero_width_rows_problem_in_a_batch(self, cfg):
+        # zeros of the row shape beside a problem of positive width, which
+        # keeps the bits that it gets alone
+        def rows(x):
+            return np.array([x, x * x])
+        vals, errs = integrate_batch(lambda x, idx: rows(x), [0.0, 1.0], [1.0, 1.0], cfg,
+                                     [None, None])
+        assert vals.shape == errs.shape == (2, 2)
+        alone = integrate(rows, 0.0, 1.0, cfg)
+        assert vals[0].tobytes() == alone[0].tobytes()
+        assert errs[0].tobytes() == alone[1].tobytes()
+        assert not vals[1].any() and not errs[1].any()
 
     def test_exhausted_problem_raises_its_own_estimate(self):
         starved = QuadratureConfig(1e-14, 1e-13, 16)

@@ -116,20 +116,28 @@ def _bits(rows: list[dict]) -> list[tuple]:
 
 class TestBatchedSweep:
     # grids longer than one chunk, so that a full and a short chunk both run
-    @pytest.mark.parametrize("spec", [
-        SweepSpec("inv_gamma", 0.001, 1.0, sweep.CHUNK_FRAMES + 8, -1.0),   # approaching
-        SweepSpec("inv_gamma", 0.001, 1.0, sweep.CHUNK_FRAMES + 8, 0.0),    # rest
-        SweepSpec("inv_gamma", 0.001, 1.0, sweep.CHUNK_FRAMES + 8, 1.0),    # receding
-        SweepSpec("zeta", -3.0, 2.0, sweep.CHUNK_FRAMES + 8, 0.5),
+    @pytest.mark.parametrize("spec, method, chunk", [
+        pytest.param(SweepSpec("inv_gamma", 0.001, 1.0, sweep.CHUNK_FRAMES + 8, -1.0),
+                     "closed_profile", sweep.CHUNK_FRAMES, id="spec0"),     # approaching
+        pytest.param(SweepSpec("inv_gamma", 0.001, 1.0, sweep.CHUNK_FRAMES + 8, 0.0),
+                     "closed_profile", sweep.CHUNK_FRAMES, id="spec1"),     # rest
+        pytest.param(SweepSpec("inv_gamma", 0.001, 1.0, sweep.CHUNK_FRAMES + 8, 1.0),
+                     "closed_profile", sweep.CHUNK_FRAMES, id="spec2"),     # receding
+        pytest.param(SweepSpec("zeta", -3.0, 2.0, sweep.CHUNK_FRAMES + 8, 0.5),
+                     "closed_profile", sweep.CHUNK_FRAMES, id="spec3"),
+        # the oracle, in chunks of two points
+        pytest.param(SweepSpec("zeta", -1.0, 0.5, 3, 1.0), "quadrature", 2, id="oracle"),
     ])
-    def test_rows_are_those_of_one_frame_evaluation(self, spec):
+    def test_rows_are_those_of_one_frame_evaluation(self, monkeypatch, spec, method, chunk):
         # bitwise, which also guards the batch-wide stop of the elliptic AGM:
         # a node's value must not depend on which other nodes share its call
-        rows = run_sweep(spec, SWEEP_CONFIG)
+        monkeypatch.setattr(sweep, "CHUNK_FRAMES", chunk)
+        rows = run_sweep(spec, SWEEP_CONFIG, method)
+        channel._frame_integrals.cache_clear()
         alone = [{"status": "ok", **dict(zip(
             ("l1", "l2", "l3"),
             lambda_numeric(PacketFrame(1.0 / r["inv_gamma"], r["zeta"]), SWEEP_CONFIG,
-                           "closed_profile").as_tuple()))} for r in rows]
+                           method).as_tuple()))} for r in rows]
         assert _bits(rows) == _bits(alone)
 
     def test_failed_point_is_flagged_and_leaves_the_others_alone(self, monkeypatch):
@@ -157,6 +165,10 @@ class TestBatchedSweep:
         # the cutoff angle rounds to 0 at zeta = -21 and -20
         rows = run_sweep(SweepSpec("zeta", -21.0, -18.0, 4, 0.05), SWEEP_CONFIG, method)
         assert [r["status"] for r in rows] == ["error:RangeError"] * 2 + ["ok"] * 2
+
+    def test_unknown_method_flags_every_row(self):
+        rows = run_sweep(SweepSpec("zeta", -1.0, 0.5, 3, 1.0), SWEEP_CONFIG, "bogus")
+        assert [r["status"] for r in rows] == ["error:DomainError"] * 3
 
     def test_point_without_a_frame_is_flagged(self):
         # 1/inv_gamma overflows at the first point, so its chunk cannot be
@@ -307,12 +319,6 @@ class TestCli:
             max_subdivisions=SWEEP_CONFIG.max_subdivisions)
         assert resolved("--config", str(q), "--max-subdivisions", "7") == QuadratureConfig(
             abs_tol=1e-9, rel_tol=SWEEP_CONFIG.rel_tol, max_subdivisions=7)
-
-    def test_wigner_check(self, capsys):
-        assert main(["wigner-check", "--samples", "25"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["passed"] is True
-        assert doc["worst"]["wigner_angle"] < 1e-10
 
     def test_threshold_commands(self, capsys):
         assert main(["threshold-gamma", "--zeta", "0"]) == 0
