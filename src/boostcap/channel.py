@@ -17,7 +17,7 @@ pins this choice.
 Two evaluation routes exist for every azimuthal profile: adaptive quadrature
 (the baseline and oracle) and closed forms in complete elliptic integrals;
 the fast route must track the baseline to 1e-9 and is what parameter sweeps
-use.  Either route runs many frames as one worklist (:func:`lambda_batch`),
+use.  Both run many frames as one polar worklist (:func:`_polar_integrals`),
 the oracle with its azimuthal integrals as one batched worklist per kind.
 A notable consequence of the closed forms: the l3 profile vanishes
 identically on the backward hemisphere t > pi/2.
@@ -37,7 +37,7 @@ from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, geometric_refinement,
                          integrate_batch)
 from .special_functions import _agm_ked, _elliptic_ked, erf_family, erfi, hyp2f2_11_52_3
 from .wavepacket import (PacketFrame, frame_coefficients, frames_kernel_values, kernel_values,
-                         norm_scale, normalization, theta_breakpoints, theta_c)
+                         norm_scale, theta_breakpoints, theta_c)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -264,51 +264,82 @@ def _closed_rows(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             -4.0 * c * K / (2.0 - u))
 
 
-def _oracle_integrals(frames: list[PacketFrame], cfg: QuadratureConfig) -> list[dict]:
-    """Polar integrals of K times the adaptive profile of every kind and
-    frame, in one worklist, and each frame's quadrature N.
+def _polar_integrals(frames: list[PacketFrame], cfg: QuadratureConfig, kinds: tuple,
+                     integrand, seeds) -> np.ndarray:
+    """Kernel-weighted polar integrals of every frame and kind, in one worklist.
 
-    Each (frame, kind) pair is one problem over [0, theta_c) with its own
-    seeds, partition and budget.  Each polar round evaluates the kernel of
-    every frame's nodes at once and runs one batched azimuthal worklist per
-    kind on its live nodes, so each pair gets the bits it gets alone.  A
-    ConvergenceError carries the index of its frame.
+    Problem ``p * len(kinds) + k`` is frame p's kind k over [0, theta_c),
+    seeded by ``seeds(frame)``, with its own partition, heap and budget.
+    ``integrand(ts, idx, kv)`` gets every problem's nodes, each node's
+    problem index and s K there; a kind is a name, or its rows' names.  s is
+    the frame's :func:`norm_scale`, a power of two near 2 pi / N, so
+    ``cfg.abs_tol`` applies to N-scaled integrals; it is divided out after,
+    exactly.  Each frame gets the bits it gets alone; a one-frame call reads
+    :func:`kernel_values` and skips the per-node gather.  Returns each
+    frame's unscaled integrals, one row per frame.
+
+    A polar ConvergenceError names its frame and its kind, or the row
+    furthest from its tolerance, and carries that row's unscaled estimate
+    and bound as floats and the frame's index.  An error raised with a
+    cause (an azimuthal one, located already) passes through.
     """
-    n = len(PROFILE_KINDS)
-    table = np.array([frame_coefficients(f) for f in frames]).T
+    n = len(kinds)
+    scales = np.array([norm_scale(f.gamma) for f in frames])
+    if len(frames) == 1:
+        def weighted(ts: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            return integrand(ts, idx, scales[0] * kernel_values(ts, frames[0]))
+    else:
+        # each node's frame coefficients, gathered from one row per frame
+        table = np.array([frame_coefficients(f) for f in frames]).T
 
-    def outer(ts: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        at, kinds = np.divmod(idx, n)
-        kv = frames_kernel_values(ts, *table[:, at])
-        vals = np.zeros_like(kv)
+        def weighted(ts: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            at = idx // n if n > 1 else idx
+            return integrand(ts, idx, scales[at] * frames_kernel_values(ts, *table[:, at]))
+
+    try:
+        vals, _ = integrate_batch(weighted, [0.0] * (n * len(frames)),
+                                  [theta_c(f.zeta) for f in frames for _ in kinds], cfg,
+                                  [bps for f in frames for bps in [seeds(f)] * n])
+    except ConvergenceError as exc:
+        if exc.__cause__ is not None:   # the polar worklist's own error has none
+            raise
+        p, k = divmod(exc.problem, n)
+        est, err, where = exc.estimate, exc.error_bound, f"{kinds[k]} polar integral"
+        if not isinstance(kinds[k], str):
+            row = int(np.argmax(err / np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(est))))
+            est, err, where = est[row], err[row], f"{kinds[k][row]} row of the polar integral"
+        raise _located(f"{where} at {frames[p]!r}", cfg, float(est / scales[p]),
+                       float(err / scales[p]), p) from exc
+    return vals.reshape(len(frames), -1) / scales[:, None]
+
+
+def _oracle_integrals(frames: list[PacketFrame], cfg: QuadratureConfig) -> list[dict]:
+    """Polar integrals of K times the adaptive profile of every kind, and of
+    K alone (the quadrature N), for every frame: seven problems per frame
+    of :func:`_polar_integrals`, seeded by :func:`theta_breakpoints`.
+
+    Each polar round runs one batched azimuthal worklist per kind on its
+    live nodes, so each problem gets the bits it gets alone, and N those of
+    ``normalization(frame, "quadrature", cfg)``.  An azimuthal
+    ConvergenceError carries the index of its node's frame.
+    """
+    kinds = (*PROFILE_KINDS, "N")
+
+    def outer(ts: np.ndarray, idx: np.ndarray, kv: np.ndarray) -> np.ndarray:
+        at, node_kinds = np.divmod(idx, len(kinds))
+        vals = kv.copy()                # the N problems' integrand, and 0 where K is
         for k, kind in enumerate(PROFILE_KINDS):
-            mine = (kinds == k) & (kv > 0.0)
+            mine = (node_kinds == k) & (kv > 0.0)
             try:
-                vals[mine] = kv[mine] * _azimuthal_profiles(kind, ts[mine], cfg)
+                vals[mine] *= _azimuthal_profiles(kind, ts[mine], cfg)
             except ConvergenceError as exc:
                 exc.problem = int(at[mine][exc.problem])    # the node's frame
                 raise
         return vals
 
-    try:
-        vals, _ = integrate_batch(outer, [0.0] * (n * len(frames)),
-                                  [theta_c(f.zeta) for f in frames for _ in PROFILE_KINDS], cfg,
-                                  [bps for f in frames for bps in [theta_breakpoints(f)] * n])
-    except ConvergenceError as exc:
-        if exc.__cause__ is not None:   # the polar worklist's own error has none
-            raise                       # an azimuthal profile's, located already
-        p, k = divmod(exc.problem, n)
-        raise _located(f"{PROFILE_KINDS[k]} polar integral at {frames[p]!r}",
-                       cfg, exc.estimate, exc.error_bound, p) from exc
-    out = []
-    for p, frame in enumerate(frames):
-        try:
-            out.append(dict(zip(PROFILE_KINDS, vals[p * n:(p + 1) * n].tolist()),
-                            norm=normalization(frame, "quadrature", cfg)))
-        except ConvergenceError as exc:
-            exc.problem = p
-            raise
-    return out
+    vals = _polar_integrals(frames, cfg, kinds, outer, theta_breakpoints)
+    return [dict(zip(PROFILE_KINDS, row[:-1]), norm=2.0 * math.pi * row[-1])
+            for row in vals.tolist()]
 
 
 def _closed_seeds(frame: PacketFrame) -> list[float]:
@@ -329,49 +360,15 @@ def _closed_seeds(frame: PacketFrame) -> list[float]:
 
 
 def _closed_integrals(frames: list[PacketFrame], cfg: QuadratureConfig) -> list[dict]:
-    """The fast path's frame integrals of every frame, in one worklist.
-
-    Each frame is one problem over its own [0, theta_c) with its own seeds
-    (:func:`_closed_seeds`), heap, tolerance and budget; the rows
-    s K (g2, g5, g6, 1) of all frames' nodes are evaluated in one call, with
-    the closed profiles' AGM on the whole array.  s is the frame's
-    :func:`norm_scale`, a power of two near 2 pi / N, so the N row
-    integrates to about 1 at every spread and ``cfg.abs_tol`` applies to
-    these N-scaled rows; the scale is divided out afterwards, exactly.
-    Every frame gets the bits it gets alone, so the one-frame call through
-    :func:`integrate` and :func:`kernel_values` is only a size selection: it
-    skips the per-node gather of frame coefficients.  A failed polar
-    integral raises a ConvergenceError that names its frame and the row
-    furthest from its tolerance, carries that row's unscaled estimate and
-    bound as floats, and carries the frame's index.
+    """The fast path's frame integrals: one rows problem K (g2, g5, g6, 1)
+    per frame of :func:`_polar_integrals`, seeded by :func:`_closed_seeds`,
+    with the closed profiles' AGM on the whole array of nodes.
     """
-    scales = np.array([norm_scale(f.gamma) for f in frames])
-
-    def rows(ts: np.ndarray, kv: np.ndarray) -> np.ndarray:
-        return kv * np.array([*_closed_rows(ts), np.ones_like(ts)])
-
-    try:
-        if len(frames) == 1:
-            frame = frames[0]
-            vals, _ = integrate(lambda ts: rows(ts, scales[0] * kernel_values(ts, frame)), 0.0,
-                                theta_c(frame.zeta), cfg, breakpoints=_closed_seeds(frame))
-            vals = vals[None, :]
-        else:
-            # each node's frame coefficients, gathered from one row per frame
-            table = np.array([frame_coefficients(f) for f in frames]).T
-            vals, _ = integrate_batch(
-                lambda ts, idx: rows(ts, scales[idx] * frames_kernel_values(ts, *table[:, idx])),
-                [0.0] * len(frames), [theta_c(f.zeta) for f in frames], cfg,
-                [_closed_seeds(f) for f in frames])
-    except ConvergenceError as exc:
-        # the row furthest from its tolerance, unscaled
-        p, est = exc.problem, exc.estimate
-        row = int(np.argmax(exc.error_bound / np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(est))))
-        raise _located(f"{('g2_cos', 'g5_sqrt', 'g6_sqrt', 'N')[row]} row of the polar integral "
-                       f"at {frames[p]!r}", cfg, float(est[row] / scales[p]),
-                       float(exc.error_bound[row] / scales[p]), p) from exc
+    vals = _polar_integrals(
+        frames, cfg, (("g2_cos", "g5_sqrt", "g6_sqrt", "N"),),
+        lambda ts, idx, kv: kv * np.array([*_closed_rows(ts), np.ones_like(ts)]), _closed_seeds)
     return [{"g2_cos": g2, "g5_sqrt": g5, "g6_sqrt": g6, "norm": 2.0 * math.pi * n_val}
-            for g2, g5, g6, n_val in (vals / scales[:, None]).tolist()]
+            for g2, g5, g6, n_val in vals.tolist()]
 
 
 def _cutoff_error(frame: PacketFrame) -> RangeError | None:
@@ -429,13 +426,13 @@ def lambda_numeric(frame: PacketFrame, cfg: QuadratureConfig = DEFAULT_CONFIG,
     ``method="quadrature"`` is the baseline (azimuthal integrals by adaptive
     quadrature at every polar node); ``method="closed_profile"`` replaces
     the azimuthal integrals with their elliptic closed forms and is used by
-    sweeps and solvers; its ``cfg.abs_tol`` applies to N-scaled integrals
-    (see :func:`_closed_integrals`).  Validated domain: Gamma from 1e-3 to
-    1e4 and |zeta| <= 10, where the fast path converges at the default and
-    sweep configs; a frame whose cutoff angle rounds to 0 (zeta <= -19.25)
-    raises RangeError before any quadrature.  Eigenvalue excursions past
-    [-1, 1] or outside the probability simplex beyond 1e-9 raise
-    IntegrityError; smaller ones are clamped (quadrature noise).
+    sweeps and solvers.  On both, ``cfg.abs_tol`` applies to N-scaled polar
+    integrals (see :func:`_polar_integrals`).  Validated domain: Gamma from
+    1e-3 to 1e4 and |zeta| <= 10, where the fast path converges at the
+    default and sweep configs; a frame whose cutoff angle rounds to 0 (zeta
+    <= -19.25) raises RangeError before any quadrature.  Eigenvalue
+    excursions past [-1, 1] or outside the probability simplex beyond 1e-9
+    raise IntegrityError; smaller ones are clamped (quadrature noise).
     """
     return _pauli_lambda(frame, _frame_integrals(frame.gamma, frame.zeta, cfg, method))
 

@@ -67,7 +67,12 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and subdivision budget for the adaptive integrator."""
+    """Tolerances and subdivision budget for the adaptive integrator.
+
+    The channel's polar integrals, on both methods, and ``normalization``
+    integrate the kernel times ``wavepacket.norm_scale``, about 2 pi / N, so
+    there ``abs_tol`` applies to N-scaled integrals, of size about 1.
+    """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10

@@ -205,11 +205,6 @@ def elliptic(m: float) -> EllipticPair:
     return EllipticPair(float(K), float(E))
 
 
-def elliptic_d(m: float) -> float:
-    """(K(m) - E(m))/m, evaluated without cancellation; equals pi/4 at m = 0."""
-    return float(_elliptic_ked(m)[2])
-
-
 def hyp2f2_11_52_3(p: float) -> float:
     """2F2(1, 1; 5/2, 3; p) by its ascending series with dd accumulation.
 

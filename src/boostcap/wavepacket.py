@@ -139,17 +139,20 @@ def normalization(frame: PacketFrame, method: str = "quadrature",
 
     The value is independent of the boost at fixed Gamma.  The closed form
     pi^{3/2} Gamma erfcx(1/Gamma) uses the scaled complementary error
-    function so narrow packets (Gamma -> 0) do not underflow.
+    function so narrow packets (Gamma -> 0) do not underflow.  The
+    quadrature integrates the kernel times :func:`norm_scale`, as both
+    channel methods do, so ``cfg.abs_tol`` applies to this N-scaled
+    integral, and divides the scale out exactly.
     """
     if method == "closed_form":
         g = frame.gamma
         return math.pi ** 1.5 * g * erf_family(1.0 / g).erfcx
     if method != "quadrature":
         raise DomainError(f"unknown normalization method {method!r}")
-    tc = theta_c(frame.zeta)
-    val, _ = integrate(lambda t: kernel_values(t, frame), 0.0, tc, cfg,
+    s = norm_scale(frame.gamma)
+    val, _ = integrate(lambda t: s * kernel_values(t, frame), 0.0, theta_c(frame.zeta), cfg,
                        breakpoints=theta_breakpoints(frame))
-    return 2.0 * math.pi * val
+    return 2.0 * math.pi * (val / s)
 
 
 def norm_scale(gamma: float) -> float:
@@ -165,11 +168,6 @@ def norm_scale(gamma: float) -> float:
     x = 1.0 / gamma
     erfcx = math.exp(x * x) * math.erfc(x) if x < 25.0 else 1.0 / (math.sqrt(math.pi) * x)
     return math.ldexp(1.0, round(math.log2(2.0 * x / (math.sqrt(math.pi) * erfcx))))
-
-
-def trace_integrand(s: float, gamma: float) -> float:
-    """exp(-s/Gamma^2) / (2 sqrt(1+s)); equals 1/2 at s = 0."""
-    return math.exp(-s / (gamma * gamma)) / (2.0 * math.sqrt(1.0 + s))
 
 
 def rest_frame_trace(gamma: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

@@ -6,7 +6,7 @@ import pytest
 from boostcap.errors import DomainError
 from boostcap.wavepacket import (PacketFrame, envelope_sq, kernel,
                                  log_envelope_sq, norm_scale, normalization,
-                                 rest_frame_trace, theta_c, trace_integrand)
+                                 rest_frame_trace, theta_c)
 
 
 def kernel_direct(theta: float, zeta: float, gamma: float) -> float:
@@ -118,9 +118,6 @@ class TestNormScale:
 
 
 class TestRestFrameTrace:
-    def test_integrand_at_origin(self):
-        assert trace_integrand(0.0, 1.0) == 0.5
-
     def test_matches_normalization(self, cfg):
         # independent radial representation: 2*pi * trace == normalization
         for g in (0.3, 1.0, 7.0):
