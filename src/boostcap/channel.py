@@ -18,7 +18,8 @@ Two evaluation routes exist for every azimuthal profile: adaptive quadrature
 (the baseline and oracle) and closed forms in complete elliptic integrals;
 the fast route must track the baseline to 1e-9 and is what parameter sweeps
 use.  Both run many frames as one polar worklist (:func:`_polar_integrals`),
-the oracle with its azimuthal integrals as one batched worklist per kind.
+the oracle with the azimuthal integrals of every kind in each polar round as
+one batched worklist.
 A notable consequence of the closed forms: the l3 profile vanishes
 identically on the backward hemisphere t > pi/2.
 """
@@ -33,8 +34,8 @@ import numpy as np
 
 from .errors import (BoostcapError, ConvergenceError, DomainError, IntegrityError,
                      NotAChannelError, RangeError)
-from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, geometric_refinement, integrate,
-                         integrate_batch)
+from .quadrature import (_REFINE_MAX_POINTS, DEFAULT_CONFIG, QuadratureConfig,
+                         geometric_refinement, integrate, integrate_batch)
 from .special_functions import _agm_ked, _elliptic_ked, erf_family, erfi, hyp2f2_11_52_3
 from .wavepacket import (PacketFrame, frame_coefficients, frames_kernel_values, kernel_values,
                          norm_scale, theta_breakpoints, theta_c)
@@ -166,33 +167,40 @@ def _phi_integrand(kind: str, ct: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """The ``kind`` azimuthal integrand; ct = cos t broadcasts against phis."""
     cp2 = np.cos(phis) ** 2
     sp2 = np.sin(phis) ** 2
-    c2p = np.cos(2.0 * phis)
-    s2p2 = np.sin(2.0 * phis) ** 2
     # 1 - cos^2 p sin^2 t and 1 - sin^2 p sin^2 t as sums of squares, which
     # do not cancel near t = pi/2
     den_c = sp2 + cp2 * ct * ct
     den_s = cp2 + sp2 * ct * ct
     if kind == "g1_cos":
         return 0.5 * (cp2 * ct * ct + sp2) / den_c
-    if kind == "g2_cos":
-        return 0.5 * (cp2 * c2p * ct * ct - c2p * sp2 + ct * s2p2) / den_c
     if kind == "g3_sin":
         return 0.5 * (sp2 * ct * ct + cp2) / den_s
+    if kind == "g6_sqrt":
+        return -0.5 * ct / np.sqrt(den_c * den_s)
+    # the double angles, only for the kinds that read them
+    c2p = np.cos(2.0 * phis)
+    s2p2 = np.sin(2.0 * phis) ** 2
+    if kind == "g2_cos":
+        return 0.5 * (cp2 * c2p * ct * ct - c2p * sp2 + ct * s2p2) / den_c
     if kind == "g4_sin":
         return 0.5 * (sp2 * c2p * ct * ct - c2p * cp2 - ct * s2p2) / den_s
-    root = np.sqrt(den_c * den_s)
     if kind == "g5_sqrt":
-        return 0.25 * (2.0 * c2p * c2p * ct + s2p2 + ct * ct * s2p2) / root
-    if kind == "g6_sqrt":
-        return -0.5 * ct / root
+        return 0.25 * (2.0 * c2p * c2p * ct + s2p2 + ct * ct * s2p2) / np.sqrt(den_c * den_s)
     raise DomainError(f"unknown profile kind {kind!r}")
 
 
-def _quarter_seeds(theta: float) -> list[float]:
+# geometric_refinement(0, pi/2, s) keeps the points pi/2 - w of the gaps
+# w = (pi/2) 4^-k, k = 1, 2, ..., for as long as w > s/4: so every node's
+# quarter seeds are a prefix of one sequence, set by their count
+_QUARTER_GAPS = (math.pi / 2) * 0.25 ** np.arange(1, _REFINE_MAX_POINTS + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _quarter_seeds(count: int) -> tuple[float, ...]:
     # near t = pi/2 the denominators develop narrow layers of width |cos t|
-    # at the axes; geometric breakpoints seed them
-    stack = geometric_refinement(0.0, math.pi / 2, abs(math.cos(theta)))
-    return stack + [math.pi / 2 - b for b in stack]
+    # at the axes; ``count`` geometric breakpoints toward each axis seed them
+    stack = [math.pi / 2 - w for w in _QUARTER_GAPS[:count].tolist()]
+    return tuple(stack + [math.pi / 2 - b for b in stack])
 
 
 def _located(where: str, cfg: QuadratureConfig, estimate: float, error_bound: float,
@@ -201,23 +209,48 @@ def _located(where: str, cfg: QuadratureConfig, estimate: float, error_bound: fl
                             estimate=estimate, error_bound=error_bound, problem=problem)
 
 
-def _azimuthal_profiles(kind: str, thetas, cfg: QuadratureConfig) -> np.ndarray:
-    """The ``kind`` profile at every polar angle of ``thetas``: one batched
-    worklist of independent adaptive integrals, one per angle.
+def _azimuthal_profiles(kinds, thetas, cfg: QuadratureConfig) -> np.ndarray:
+    """The profile of kind ``kinds[i]`` at polar angle ``thetas[i]``, for
+    every i: one batched worklist of independent adaptive integrals.
 
-    Every integrand is symmetric under phi -> -phi and phi -> pi - phi, so
-    each integral runs over [0, pi/2) and is multiplied by 4.
+    ``kinds`` holds indices into PROFILE_KINDS, or is one kind's name for
+    every angle.  The problems run kind-major, so each kind's angles are one
+    slice of every round's abscissae.  Every integrand is symmetric under
+    phi -> -phi and phi -> pi - phi, so each integral runs over [0, pi/2)
+    and is multiplied by 4.  A ConvergenceError names the kind and angle of
+    the lowest (kind, angle) problem that fails in the earliest round that
+    any fails, and carries that angle's index.
     """
+    if isinstance(kinds, str):
+        if kinds not in PROFILE_KINDS:
+            raise DomainError(f"unknown profile kind {kinds!r}")
+        kinds = [PROFILE_KINDS.index(kinds)] * len(thetas)
+    order = np.argsort(kinds, kind="stable")
+    kinds, thetas = np.asarray(kinds)[order], np.asarray(thetas, dtype=float)[order]
     # libm's cos t; numpy's vectorized one can differ in the last bit
-    ct = np.array([math.cos(t) for t in thetas])
+    ct = np.array([math.cos(t) for t in thetas.tolist()])
+    counts = np.count_nonzero(_QUARTER_GAPS > 0.25 * np.abs(ct)[:, None], axis=1)
+    firsts = np.searchsorted(kinds, np.arange(len(PROFILE_KINDS) + 1))
+
+    def integrand(phis: np.ndarray, i: np.ndarray) -> np.ndarray:
+        out = np.empty_like(phis)
+        ends = np.searchsorted(i, firsts)
+        for k, kind in enumerate(PROFILE_KINDS):
+            if ends[k] < ends[k + 1]:
+                mine = slice(ends[k], ends[k + 1])
+                out[mine] = _phi_integrand(kind, ct[i[mine]], phis[mine])
+        return out
+
     try:
-        vals, _ = integrate_batch(
-            lambda phis, i: _phi_integrand(kind, ct[i], phis),
-            [0.0] * len(ct), [math.pi / 2] * len(ct), cfg, [_quarter_seeds(t) for t in thetas])
+        vals, _ = integrate_batch(integrand, [0.0] * len(ct), [math.pi / 2] * len(ct), cfg,
+                                  [_quarter_seeds(c) for c in counts.tolist()])
     except ConvergenceError as exc:
-        raise _located(f"{kind} azimuthal profile at theta={float(thetas[exc.problem])!r}",
-                       cfg, 4.0 * exc.estimate, 4.0 * exc.error_bound, exc.problem) from exc
-    return 4.0 * vals
+        kind, theta = PROFILE_KINDS[kinds[exc.problem]], float(thetas[exc.problem])
+        raise _located(f"{kind} azimuthal profile at theta={theta!r}", cfg,
+                       4.0 * exc.estimate, 4.0 * exc.error_bound, int(order[exc.problem])) from exc
+    out = np.empty_like(vals)
+    out[order] = 4.0 * vals
+    return out
 
 
 def phi_profile(kind: str, theta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -318,23 +351,24 @@ def _oracle_integrals(frames: list[PacketFrame], cfg: QuadratureConfig) -> list[
     K alone (the quadrature N), for every frame: seven problems per frame
     of :func:`_polar_integrals`, seeded by :func:`theta_breakpoints`.
 
-    Each polar round runs one batched azimuthal worklist per kind on its
-    live nodes, so each problem gets the bits it gets alone, and N those of
-    ``normalization(frame, "quadrature", cfg)``.  An azimuthal
-    ConvergenceError carries the index of its node's frame.
+    Each polar round runs one batched azimuthal worklist on every live
+    (node, kind) pair (:func:`_azimuthal_profiles`), so each problem gets
+    the bits it gets alone, and N those of ``normalization(frame,
+    "quadrature", cfg)``.  An azimuthal ConvergenceError is that of the
+    lowest (kind, node) problem to fail in the earliest azimuthal round
+    that any fails, and carries the index of its node's frame.
     """
     kinds = (*PROFILE_KINDS, "N")
 
     def outer(ts: np.ndarray, idx: np.ndarray, kv: np.ndarray) -> np.ndarray:
         at, node_kinds = np.divmod(idx, len(kinds))
         vals = kv.copy()                # the N problems' integrand, and 0 where K is
-        for k, kind in enumerate(PROFILE_KINDS):
-            mine = (node_kinds == k) & (kv > 0.0)
-            try:
-                vals[mine] *= _azimuthal_profiles(kind, ts[mine], cfg)
-            except ConvergenceError as exc:
-                exc.problem = int(at[mine][exc.problem])    # the node's frame
-                raise
+        mine = (node_kinds < len(PROFILE_KINDS)) & (kv > 0.0)
+        try:
+            vals[mine] *= _azimuthal_profiles(node_kinds[mine], ts[mine], cfg)
+        except ConvergenceError as exc:
+            exc.problem = int(at[mine][exc.problem])        # the node's frame
+            raise
         return vals
 
     vals = _polar_integrals(frames, cfg, kinds, outer, theta_breakpoints)

@@ -35,7 +35,14 @@ _LOG_TINY = -745.0  # exp underflows to 0 below this
 
 @dataclass(frozen=True)
 class PacketFrame:
-    """Dimensionless radial spread Gamma = sigma/k_p and boost rapidity."""
+    """Dimensionless radial spread Gamma = sigma/k_p and boost rapidity.
+
+    Any positive finite Gamma and finite zeta make a frame, but the channel
+    is validated only for Gamma from 1e-3 to 1e4 and |zeta| <= 10, where
+    the fast path converges at the default and sweep configs.  A frame with
+    zeta <= -19.25, whose cutoff angle :func:`theta_c` rounds to 0, raises
+    RangeError in the channel before any quadrature.
+    """
 
     gamma: float
     zeta: float

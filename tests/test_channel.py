@@ -22,7 +22,8 @@ from boostcap.channel import (LAMBDA3_CONSTANT, PacketFrame, PauliLambda,
                               state_density)
 from boostcap.errors import (ConvergenceError, DomainError, IntegrityError,
                              NotAChannelError, RangeError)
-from boostcap.quadrature import DEFAULT_CONFIG, SWEEP_CONFIG, QuadratureConfig, integrate
+from boostcap.quadrature import (DEFAULT_CONFIG, SWEEP_CONFIG, QuadratureConfig,
+                                 geometric_refinement, integrate)
 from boostcap.wavepacket import (kernel_values, norm_scale, normalization, theta_breakpoints,
                                  theta_c)
 
@@ -246,14 +247,13 @@ class TestLambdaNumeric:
 
     def test_oracle_batches_its_azimuthal_integrals(self, monkeypatch):
         # the six kinds and N are seven problems of one polar worklist, and
-        # the azimuthal profiles of a polar round run as batched worklists
-        # inside it: no integral per kind or per polar node; measured 487
-        # GK15 calls at this frame
-        polar, batches, depth = [], [], []
+        # each polar round runs one azimuthal worklist for all six kinds
+        # inside it: no integral per kind or per polar node; measured 303
+        # GK15 calls at this frame, 487 with one azimuthal worklist per kind
+        polar, azimuthal, polar_rounds, batches, depth = [], [], [], [], []
 
         def counting_batch(f, a, *args):
-            if not depth:
-                polar.append(len(a))
+            (azimuthal if depth else polar).append(len(a))
             depth.append(1)
             try:
                 return integrate_batch(f, a, *args)
@@ -262,6 +262,8 @@ class TestLambdaNumeric:
 
         def counting_gk15(*args):
             batches.append(len(args[1]))
+            if len(depth) == 1:
+                polar_rounds.append(len(args[1]))
             return gk15(*args)
 
         integrate_batch, gk15 = channel.integrate_batch, quadrature._gk15
@@ -270,7 +272,42 @@ class TestLambdaNumeric:
         monkeypatch.setattr(quadrature, "_gk15", counting_gk15)
         channel._frame_integrals.__wrapped__(1.0, 0.5, DEFAULT_CONFIG, "quadrature")
         assert polar == [len(channel.PROFILE_KINDS) + 1]
-        assert len(batches) < 1500
+        assert len(azimuthal) == len(polar_rounds) > 1
+        assert len(batches) < 330
+
+    def test_azimuthal_worklist_loops_agree_near_half_pi(self, monkeypatch):
+        # at least the array loop's threshold of azimuthal problems, all six
+        # kinds in no particular order, within 1e-6 of pi/2 where the layers
+        # are narrowest: the array loop, with or without its hand-over to
+        # the generators, gives the generators' bits
+        n = 2 * quadrature._ARRAY_MIN_PROBLEMS
+        rng = np.random.default_rng(17)
+        thetas = (math.pi / 2 + rng.uniform(-1e-6, 1e-6, n)).tolist()
+        kinds = rng.integers(0, len(channel.PROFILE_KINDS), n).tolist()
+        assert set(kinds) == set(range(len(channel.PROFILE_KINDS)))
+        got = []
+        for least in (1, quadrature._ARRAY_MIN_PROBLEMS, 10 ** 9):
+            monkeypatch.setattr(quadrature, "_ARRAY_MIN_PROBLEMS", least)
+            got.append(channel._azimuthal_profiles(kinds, thetas, DEFAULT_CONFIG).tobytes())
+        assert got[0] == got[1] == got[2]
+
+    def test_quarter_seeds_are_the_geometric_stack(self, monkeypatch):
+        # a node's seeds come from a table by their count; they must be the
+        # geometric_refinement stack toward both axes that they replace
+        thetas = [0.01, 0.7, 1.2, 1.5, 1.57, math.pi / 2, math.pi / 2 + 1e-13,
+                  math.pi / 2 - 1e-9, 1.6, 2.5, 3.1]
+        seen = []
+
+        def spying_batch(f, a, b, cfg, seeds):
+            seen.extend(seeds)
+            return integrate_batch(f, a, b, cfg, seeds)
+
+        integrate_batch = channel.integrate_batch
+        monkeypatch.setattr(channel, "integrate_batch", spying_batch)
+        channel._azimuthal_profiles("g5_sqrt", thetas, SWEEP_CONFIG)
+        for theta, seeds in zip(thetas, seen):
+            stack = geometric_refinement(0.0, math.pi / 2, abs(math.cos(theta)))
+            assert list(seeds) == stack + [math.pi / 2 - p for p in stack], theta
 
     @pytest.mark.parametrize("frame", [PacketFrame(1.0, 0.0), PacketFrame(0.5, -1.0),
                                        PacketFrame(0.5, 0.5), PacketFrame(1e-3, 7.0)])
@@ -299,7 +336,8 @@ class TestLambdaNumeric:
 
     def test_receding_oracle_frame_has_no_roundoff_tail(self, monkeypatch):
         # polar nodes near t = pi/2 must not bisect their azimuthal layers
-        # down to rounding; measured 602 GK15 calls at this frame
+        # down to rounding; measured 383 GK15 calls at this frame, 594 with
+        # one azimuthal worklist per kind
         batches = []
 
         def counting_gk15(*args):
@@ -309,7 +347,7 @@ class TestLambdaNumeric:
         gk15 = quadrature._gk15
         monkeypatch.setattr(quadrature, "_gk15", counting_gk15)
         channel._frame_integrals.__wrapped__(5.0, 0.5, DEFAULT_CONFIG, "quadrature")
-        assert len(batches) < 1500
+        assert len(batches) < 420
 
     def test_oracle_convergence_error_says_where(self):
         # with one subdivision the kinds' polar integrals fail in their

@@ -191,6 +191,132 @@ class TestBatch:
         assert exc.value.error_bound == alone.value.error_bound
 
 
+class TestScalarRounds:
+    # _scalar_rounds is _refine on arrays: every problem gets the same bits,
+    # or the same ConvergenceError, from the array loop throughout, from the
+    # generators alone, and with the hand-over between them at 3 live
+    # problems.  x * x converges on its seeds; the 2-ulp problem bisects once
+    # and then reaches floating point resolution; the zero integrand has
+    # only zero errors
+    LEAST = (1, 3, 10 ** 9)
+    U = 2.0 ** -52
+    ULP2 = 1.0 + 2 * U
+    PROBLEMS = (*TestBatch.PROBLEMS,
+                (lambda x: 1.0 / (x - 0.999), 1.0, ULP2, None),
+                (lambda x: 0.0 * x, 0.0, 2.0, [0.5, 1.0]),
+                (lambda x: np.sqrt(np.abs(x - 0.7)), 0.0, 1.0, None))
+
+    @staticmethod
+    def batched(problems):
+        # the 2-ulp problem's nodes round to its endpoints, so no check that
+        # they lie inside
+        def f(x, idx):
+            out = np.empty_like(x)
+            for p, (g, *_) in enumerate(problems):
+                out[idx == p] = g(x[idx == p])
+            return out
+        return f
+
+    @classmethod
+    def each_loop(cls, monkeypatch, a, b, cfg, seeds, f=None):
+        f = f or cls.batched(cls.PROBLEMS)
+        outs = []
+        for least in cls.LEAST:
+            monkeypatch.setattr(quadrature, "_ARRAY_MIN_PROBLEMS", least)
+            try:
+                vals, errs = integrate_batch(f, a, b, cfg, seeds)
+                outs.append((vals.tobytes(), errs.tobytes()))
+            except ConvergenceError as exc:
+                outs.append((str(exc), exc.problem, exc.estimate.hex(), exc.error_bound.hex()))
+        return outs
+
+    def test_every_problem_gets_the_bits_of_refine(self, monkeypatch, cfg):
+        problems = self.PROBLEMS
+        outs = self.each_loop(monkeypatch, [p[1] for p in problems], [p[2] for p in problems],
+                              cfg, [p[3] for p in problems])
+        assert outs[0] == outs[1] == outs[2]
+        vals = np.frombuffer(outs[0][0])
+        assert vals[4] > 0.0 and vals[5] == 0.0
+
+    @pytest.mark.parametrize("seeds, table, tol", [
+        # errors 1e100, 1 and 1.5 * 2^-53 on three 1-ulp seeds: the running
+        # error loses the two small ones, and leaves 2^-54 once all three
+        # are accepted at resolution, so the problem re-sums after passing
+        # on the running sum, and ends on an error-0 interval while the
+        # running error is not 0
+        ([0, 1, 2, 3], {(0, 1): 1e100, (1, 2): 1.0, (2, 3): 1.5 * 2.0 ** -53}, 1e-300),
+        # seed errors that sum to the tolerance exactly converge on the seeds
+        ([0, 1, 2, 3], {(0, 1): 0.5, (1, 2): 0.25, (2, 3): 0.25}, 1.0),
+        # bisecting [0, 2] leaves the running error at 3 * 2^-53, within the
+        # tolerance, as _refine associates its update; summed in another
+        # order it would read 2^-51 and go on
+        ([0, 2, 4, 5], {(0, 2): 1.0, (2, 4): 2.0 ** -60, (4, 5): 2.0 ** -80,
+                        (0, 1): 2.0 ** -53, (1, 2): 2.0 ** -52}, 3 * 2.0 ** -53 + 2.0 ** -58),
+        # after one round the two quick problems have converged, and the
+        # others go on in _refine with their running error, 1: within the
+        # tolerance 1 + 1 ulp, where a fresh sum of their intervals' errors
+        # would read 1 + 2 ulps and bisect [0, 2]
+        ([0, 4, 5, 6], {(0, 4): 4.0, (4, 5): 0.6 * U, (5, 6): 0.6 * U, (0, 2): 1.0, (2, 4): 0.0,
+                        (0, 1): 2.0 ** -60, (1, 2): 2.0 ** -60}, 1.0 + U),
+    ], ids=["residue", "tolerance", "association", "hand-over"])
+    def test_stand_in_errors_at_the_edges(self, monkeypatch, seeds, table, tol):
+        # seed edges and intervals in ulps above 1, and the intervals'
+        # errors from a stand-in rule; each value is its left end in ulps.
+        # Two more problems, above 3, have errors 0 and converge on their
+        # seeds
+        def rule(fx, lows, highs):
+            ends = [(round((lo - 1.0) / self.U), round((hi - 1.0) / self.U))
+                    for lo, hi in zip(lows.tolist(), highs.tolist())]
+            return (np.array([float(e[0]) for e in ends]),
+                    np.array([table.get(e, 0.0) for e in ends]))
+
+        monkeypatch.setattr(quadrature, "_rule", rule)
+        edges = [1.0 + k * self.U for k in seeds]
+        outs = self.each_loop(monkeypatch, [1.0, 1.0, 3.0, 3.0], [edges[-1]] * 2 + [3.5] * 2,
+                              QuadratureConfig(tol, 1e-300, 10), [edges] * 2 + [None] * 2,
+                              lambda x, idx: 0.0 * x)
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_stand_in_errors_with_ties_and_rounding(self, monkeypatch, seed):
+        # a stand-in rule gives each interval an error from a hash of its
+        # ends, a few mantissas over a few binades: errors tie exactly,
+        # running sums round, and totals land on the power-of-two tolerance;
+        # every decision must still be _refine's
+        rng = np.random.default_rng(seed)
+
+        def rule(fx, lows, highs):
+            keys = [hash((lo, hi)) for lo, hi in zip(lows.tolist(), highs.tolist())]
+            return (np.array([k % 1009 / 7.0 for k in keys]),
+                    np.array([(1.0 + k % 5 / 4.0) * 2.0 ** -(k % 13) for k in keys]))
+
+        monkeypatch.setattr(quadrature, "_rule", rule)
+        n = 12
+        a = rng.uniform(-1.0, 1.0, n)
+        b = [x + w for x, w in zip(a.tolist(), 10.0 ** rng.uniform(-15.0, 0.0, n))]
+        seeds = [sorted(rng.uniform(x, y, rng.integers(0, 4))) for x, y in zip(a, b)]
+        cfg = QuadratureConfig(2.0 ** -int(rng.integers(-4, 8)), 1e-300, int(rng.integers(4, 40)))
+        outs = self.each_loop(monkeypatch, a.tolist(), b, cfg, seeds, lambda x, idx: 0.0 * x)
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_zero_width_problem(self, monkeypatch, cfg):
+        outs = self.each_loop(monkeypatch, [0.0, 1.0, -8.0], [1.0, 1.0, 8.0], cfg,
+                              [None, None, [0.0]], self.batched(self.PROBLEMS[:3]))
+        assert outs[0] == outs[1] == outs[2]
+        assert np.frombuffer(outs[0][0])[1] == 0.0
+
+    @pytest.mark.parametrize("budget", [1, 16, 40])
+    def test_the_lowest_index_of_the_first_round_to_fail_is_raised(self, monkeypatch, budget):
+        # problems 1 and 3 are the same near-singular peak: they exhaust the
+        # budget in the same round, and problem 1 is raised
+        problems = (self.PROBLEMS[0], self.PROBLEMS[1], self.PROBLEMS[6], self.PROBLEMS[1])
+        starved = QuadratureConfig(1e-14, 1e-13, budget)
+        outs = self.each_loop(monkeypatch, [0.0] * 4, [1.0] * 4, starved,
+                              [p[3] for p in problems], self.batched(problems))
+        assert outs[0] == outs[1] == outs[2]
+        assert outs[0][1] == 1
+
+
 class TestSemiInfinite:
     def test_exponential_sqrt_weight(self, cfg):
         # int_0^inf exp(-s)/(2 sqrt(1+s)) ds = (sqrt(pi)/2) erfcx(1)
