@@ -16,14 +16,16 @@ The worklist runs each problem in one of two loops, with the same decisions
 in the same floating point operations, so a problem gets the same bits and
 the same error from either.  ``_refine``, a generator per problem with a
 heap of intervals, costs a few microseconds of Python per problem and
-round; it runs rows problems, small batches and the last few problems of a
-large one.  ``_scalar_rounds`` holds the intervals of many scalar problems
-in flat arrays and decides a round for all of them in a fixed number of
-array operations, which costs more per round and little per problem.  So
-the choice goes by the number of live problems: ``_ARRAY_MIN_PROBLEMS``.
-Measured on one scalar integrand, a round of 16 problems costs 129 us in
-the generators and 178 us on arrays, one of 24 about 153 us either way,
-and one of 64 costs 352 us against 209 us.
+round; it runs small batches and the last few problems of a large one.
+``_array_rounds`` holds the intervals of many problems, scalar or rows, in
+the columns of one array and decides a round for all of them in a fixed
+number of array operations, which costs more per round and little per
+problem.  So the choice goes by the number of live problems:
+``_ARRAY_MIN_PROBLEMS``.  Measured on one scalar integrand, a round of 16
+problems costs 129 us in the generators and 178 us on arrays, one of 24
+about 153 us either way, and one of 64 costs 352 us against 209 us; on one
+4-row integrand the two loops meet at 16 to 20 problems, and a round of 32
+costs 534 us against 388 us.
 """
 
 from __future__ import annotations
@@ -77,11 +79,16 @@ _WKG = np.array([_WK, _WG_FULL])
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
-# The fewest live scalar problems that _scalar_rounds runs; fewer go on each
-# in its _refine.  A round of L problems of one scalar integrand, best of 60
-# on a 2-core VM (Python 3.11.7, numpy 2.4.6), costs 129, 153, 181 and 352
-# us in the generators at L = 16, 24, 32 and 64, and 178, 154, 165 and 209
-# us on arrays: the two meet at about 24.
+# The fewest live problems that _array_rounds runs; fewer go on each in its
+# _refine.  A round of L problems of one scalar integrand, best of 60 on a
+# 2-core VM (Python 3.11.7, numpy 2.4.6), costs 129, 153, 181 and 352 us in
+# the generators at L = 16, 24, 32 and 64, and 178, 154, 165 and 209 us on
+# arrays: the two meet at about 24.  Of one 4-row integrand, the median of
+# 40 interleaved runs on the same VM, with the integrand's own cost, is 200,
+# 313, 403, 371, 534 and 1017 us in the generators at L = 8, 16, 20, 24, 32
+# and 64, and 266, 314, 375, 295, 388 and 550 us on arrays: they meet at 16
+# to 20.  Rows problems gain a tie to 7 % between 16 and 23, where scalar
+# problems would lose up to 38 %, so one threshold of 24 serves both.
 _ARRAY_MIN_PROBLEMS = 24
 
 
@@ -200,10 +207,10 @@ def _worklist(f, a, b, cfg, breakpoints):
 
     Every round gathers the intervals that each unfinished problem asks for
     (first its seed partition, then one bisection), evaluates them in one
-    call ``f(x, idx)`` and reduces them in one GK15 batch.  Scalar problems
-    go on in :func:`_scalar_rounds` while at least ``_ARRAY_MIN_PROBLEMS``
-    of them are live; rows problems, small batches and the last few
-    problems of a large one each go on in their own :func:`_refine`.
+    call ``f(x, idx)`` and reduces them in one GK15 batch.  Problems, scalar
+    or rows, go on in :func:`_array_rounds` while at least
+    ``_ARRAY_MIN_PROBLEMS`` of them are live; small batches and the last
+    few problems of a large one each go on in their own :func:`_refine`.
     """
     results = [None] * len(a)
     live, empty = [], []
@@ -228,11 +235,11 @@ def _worklist(f, a, b, cfg, breakpoints):
         highs += his
         counts.append(len(los))
     vals, errs = _evaluate(f, np.array(live), np.array(counts), np.array(lows), np.array(highs))
-    if vals.ndim == 1 and len(live) >= _ARRAY_MIN_PROBLEMS:
-        rest = _scalar_rounds(f, cfg, live, counts, lows, highs, vals, errs, results)
+    if len(live) >= _ARRAY_MIN_PROBLEMS:
+        rest = _array_rounds(f, cfg, live, counts, lows, highs, vals, errs, results)
     else:
         ends = list(itertools.accumulate(counts))
-        rest = [(p, lows[s:e], highs[s:e], vals[s:e], errs[s:e], None)
+        rest = [(p, lows[s:e], highs[s:e], vals[s:e], errs[s:e], None, None)
                 for p, s, e in zip(live, [0, *ends], ends)]
 
     def finish(p, value):                # problem p's loop has returned
@@ -298,16 +305,16 @@ def _exhausted(cfg, total, total_err, p):
         estimate=total, error_bound=total_err, problem=p)
 
 
-def _refine(cfg, lows, highs, vals, errs, totals=None):
+def _refine(cfg, lows, highs, vals, errs, totals=None, weight=None):
     """One problem's worklist, from its evaluated intervals to convergence.
 
     A generator: it yields the (lows, highs) of the two halves of each
     bisection and receives their values and errors; it returns (estimate,
     bound, converged).  ``lows`` and ``highs`` are lists of floats, ``vals``
     and ``errs`` arrays.  It starts from a seed partition, or, given the
-    running ``totals`` of a scalar problem, from the intervals that
-    :func:`_scalar_rounds` hands over.  Its splitting order is a pure
-    function of its own estimates.
+    running ``totals`` (and, for rows, the seed pass's ``weight``), from the
+    intervals that :func:`_array_rounds` hands over.  Its splitting order is
+    a pure function of its own estimates.
     """
     # heap entries, endpoints and running sums are plain floats, or lists of
     # floats for rows: cheaper than numpy scalars, with the same values
@@ -324,8 +331,8 @@ def _refine(cfg, lows, highs, vals, errs, totals=None):
         advance = lambda t, a, b, old: [  # noqa: E731
             ti + ((ai + bi) - oi) for ti, ai, bi, oi in zip(t, a, b, old)]
         # components differ in scale, so an interval ranks by its largest
-        # error relative to that component's tolerance after the first pass
-        weight = (1.0 / np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(vals.sum(axis=0)))).tolist()
+        # error relative to that component's tolerance after the seed pass
+        weight = weight or (1.0 / np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))).tolist()
         priorities = lambda es: [max(map(operator.mul, e, weight)) for e in es]  # noqa: E731
         within_tol = lambda t, e: all(  # noqa: E731
             ei <= cfg.abs_tol or ei <= cfg.rel_tol * abs(ti) for ti, ei in zip(t, e))
@@ -374,60 +381,79 @@ def _refine(cfg, lows, highs, vals, errs, totals=None):
         heapq.heappush(heap, (-k2[1], m, hi, v2[1], e2[1]))
 
 
-def _scalar_rounds(f, cfg, problems, counts, lows, highs, vals, errs, results):
-    """:func:`_refine` for many scalar problems at once, on arrays.
+def _array_rounds(f, cfg, problems, counts, lows, highs, vals, errs, results):
+    """:func:`_refine` for many problems at once, on arrays.
 
-    Problem ``problems[r]`` owns ``n[r]`` consecutive columns of ``iv``,
-    whose rows are its intervals' lo, hi, value and error, in the order of
-    lo.  Each round decides every problem as ``_refine`` decides it, with
-    the same floating point operations, and bisects each one's worst
-    interval (largest error, ties to the smaller lo) in one integrand call;
-    so every problem gets the bits, and the error, that ``_refine`` gives
-    it.  Problems leave as they converge, and ``math.fsum`` runs where
-    ``_refine`` re-sums.  Once fewer than ``_ARRAY_MIN_PROBLEMS`` are live,
-    returns each one's (problem, lows, highs, values, errors, totals) for
-    its ``_refine`` to go on from.
+    Problem ``problems[i]`` owns ``n[i]`` consecutive columns of ``iv``, in
+    the order of lo.  The rows of ``iv`` are its intervals' lo, hi, values
+    and errors, one row each for scalar problems and k each for k-row
+    problems, and last their priority: for a scalar problem that is its
+    error row, for rows the largest error times the seed pass's weight.
+    ``tot`` holds the running totals, value rows over error rows, one
+    column per problem.  Each round decides every problem as ``_refine``
+    decides it, with the same floating point operations, and bisects each
+    one's worst interval (largest priority, ties to the smaller lo) in one
+    integrand call; so every problem gets the bits, and the error, that
+    ``_refine`` gives it.  Problems leave as they converge, and
+    ``math.fsum`` runs, row by row, where ``_refine`` re-sums.  Once fewer
+    than ``_ARRAY_MIN_PROBLEMS`` are live, returns each one's (problem,
+    lows, highs, values, errors, totals, weight) for its ``_refine`` to go
+    on from.
     """
+    rows = vals.ndim > 1
+    k = vals.shape[1] if rows else 1
     pid, n = np.array(problems), np.array(counts)
-    iv = np.array([lows, highs, vals, errs])
+    iv = np.empty((2 + 2 * k + rows, len(lows)))
+    iv[0], iv[1], iv[2:2 + k], iv[2 + k:2 + 2 * k] = lows, highs, vals.T, errs.T
     starts = np.cumsum(n) - n
-    # _refine's seed totals are each problem's .sum(); a row sum over the
-    # problems of one count has those bits, where reduceat may not
-    total, total_err = np.empty(len(n)), np.empty(len(n))
-    for c in np.unique(n).tolist():
+    # _refine's seed totals are each problem's .sum(axis=0); a row sum over
+    # the problems of one count, gathered C-ordered by np.take, has those
+    # bits, where reduceat, or a sum down _rule's transposed slice, may not.
+    # (np.unique would import numpy.ma, about 1 MB, on its first call.)
+    tot = np.empty((2 * k, len(n)))
+    for c in set(counts):
         same = np.flatnonzero(n == c)
-        at = starts[same, None] + np.arange(c)
-        total[same], total_err[same] = vals[at].sum(axis=1), errs[at].sum(axis=1)
+        tot[:, same] = np.take(iv[2:2 + 2 * k], starts[same, None] + np.arange(c), axis=1).sum(2)
+    if rows:
+        weight = 1.0 / np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(tot[:k]))
+        iv[-1] = (iv[2 + k:2 + 2 * k] * weight.repeat(n, axis=1)).max(axis=0)
 
-    def within_tol(r):
-        return total_err[r] <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total[r]))
+    def within_tol():                     # of every problem
+        ok = tot[k:] <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(tot[:k]))
+        return ok.all(0) if rows else ok[0]
 
-    def resum(rows):
-        for r, s, k in zip(rows.tolist(), starts[rows].tolist(), n[rows].tolist()):
-            total[r], total_err[r] = map(math.fsum, iv[2:, s:s + k].tolist())
+    def resum(some):
+        sums = []
+        for s, c in zip(starts[some].tolist(), n[some].tolist()):
+            sums += map(math.fsum, iv[2:2 + 2 * k, s:s + c].tolist())
+        tot[:, some] = np.array(sums).reshape(len(some), 2 * k).T
+
+    def estimates(some):                  # (estimate, bound) of each of some problems
+        if rows:
+            return zip(tot[:k, some].T, tot[k:, some].T)
+        return zip(tot[0, some].tolist(), tot[1, some].tolist())
 
     while len(n) >= _ARRAY_MIN_PROBLEMS:
-        lo, hi, val, err = iv
+        lo, hi, err, key = iv[0], iv[1], iv[2 + k:2 + 2 * k], iv[-1]
         done = np.zeros(len(n), dtype=bool)
         act, split = np.arange(len(n)), []
         while act.size:
-            passed = act[within_tol(act)]
+            passed = act[within_tol()[act]]
             if passed.size:
                 resum(passed)
-                done[passed] = within_tol(passed)
+                done[passed] = within_tol()[passed]
                 act = act[~done[act]]
             out = act[n[act] >= cfg.max_subdivisions]
             if out.size:
                 resum(out[:1])
-                raise _exhausted(cfg, float(total[out[0]]), float(total_err[out[0]]),
-                                 int(pid[out[0]]))
-            # each problem's worst interval: its first of largest error, as
-            # _refine's heap orders them
-            at = np.flatnonzero(err == np.maximum.reduceat(err, starts).repeat(n))
+                raise _exhausted(cfg, *next(estimates(out[:1])), int(pid[out[0]]))
+            # each problem's worst interval: its first of largest priority,
+            # as _refine's heap orders them
+            at = np.flatnonzero(key == np.maximum.reduceat(key, starts).repeat(n))
             if len(at) > len(n):
                 at = at[np.searchsorted(at, starts)]
             at = at[act]
-            flat = err[at] == 0.0
+            flat = key[at] == 0.0
             if flat.any():
                 # only unsplittable or converged intervals remain
                 resum(act[flat])
@@ -440,39 +466,50 @@ def _scalar_rounds(f, cfg, problems, counts, lows, highs, vals, errs, results):
             act, at = act[tiny], at[tiny]
             if act.size:
                 # intervals at floating point resolution: accept their estimates
-                total_err[act] -= err[at]
-                err[at] -= err[at]
-        for r in np.flatnonzero(done).tolist():
-            results[pid[r]] = float(total[r]), float(total_err[r])
+                tot[k:, act] -= err[:, at]
+                err[:, at] -= err[:, at]
+                key[at] = 0.0
+        finished = np.flatnonzero(done)
+        for p, pair in zip(pid[finished].tolist(), estimates(finished)):
+            results[p] = pair
         at = np.sort(np.concatenate(split)) if len(split) > 1 else split[0]
         if not at.size:
             return []
-        rows = np.flatnonzero(~done)          # the problems that bisect, in order
+        live = np.flatnonzero(~done)          # the problems that bisect, in order
+        # the two halves of every bisection, left then right, as columns of iv
         a, b = lo[at], hi[at]
         m = 0.5 * (a + b)
-        x = np.empty((2, 2 * len(at)))
-        x[0, 0::2], x[0, 1::2], x[1, 0::2], x[1, 1::2] = a, m, m, b
-        v, e = _evaluate(f, pid[rows], 2, x[0], x[1])
-        v, e = v.reshape(-1, 2), e.reshape(-1, 2)
-        total[rows] = total[rows] + ((v[:, 0] + v[:, 1]) - val[at])
-        total_err[rows] = total_err[rows] + ((e[:, 0] + e[:, 1]) - err[at])
+        halves = np.empty((len(iv), 2 * len(at)))
+        halves[0, 0::2], halves[0, 1::2], halves[1, 0::2], halves[1, 1::2] = a, m, m, b
+        v, e = _evaluate(f, pid[live], 2, halves[0], halves[1])
+        halves[2:2 + k], halves[2 + k:2 + 2 * k] = v.T, e.T
+        new = halves[2:2 + 2 * k]
+        tot = tot.take(live, 1) + ((new[:, 0::2] + new[:, 1::2]) - iv[2:2 + 2 * k].take(at, 1))
+        if rows:
+            weight = weight.take(live, 1)
+            halves[-1] = (halves[2 + k:2 + 2 * k] * weight.repeat(2, axis=1)).max(axis=0)
         # the left half replaces the interval and the right half follows it:
         # columns gathered from iv and the new ones, without the problems
         # that finished
-        hi[at], val[at], err[at] = m, v[:, 0], e[:, 0]
-        ext = np.concatenate((iv, [m, b, v[:, 1], e[:, 1]]), axis=1)
-        grown = n[rows] + 1
+        iv[:, at] = halves[:, 0::2]
+        ext = np.concatenate((iv, halves[:, 1::2]), axis=1)
+        grown = n[live] + 1
         off = np.arange(grown.sum()) - (np.cumsum(grown) - grown).repeat(grown)
-        old = starts[rows].repeat(grown) + off
-        cut = (at - starts[rows]).repeat(grown)
-        new = np.arange(iv.shape[1], ext.shape[1]).repeat(grown)
-        iv = ext[:, np.where(off <= cut, old, np.where(off == cut + 1, new, old - 1))]
-        pid, n = pid[rows], grown
-        total, total_err = total[rows], total_err[rows]
+        old = starts[live].repeat(grown) + off
+        cut = (at - starts[live]).repeat(grown)
+        right = np.arange(iv.shape[1], ext.shape[1]).repeat(grown)
+        iv = ext[:, np.where(off <= cut, old, np.where(off == cut + 1, right, old - 1))]
+        pid, n = pid[live], grown
         starts = np.cumsum(n) - n
-    return [(p, iv[0, s:s + k].tolist(), iv[1, s:s + k].tolist(), iv[2, s:s + k], iv[3, s:s + k],
-             (t, te)) for p, s, k, t, te in
-            zip(pid.tolist(), starts.tolist(), n.tolist(), total.tolist(), total_err.tolist())]
+    if rows:
+        vals, errs = iv[2:2 + k].T, iv[2 + k:2 + 2 * k].T
+        totals, weights = zip(tot[:k].T.tolist(), tot[k:].T.tolist()), weight.T.tolist()
+    else:
+        vals, errs = iv[2], iv[3]
+        totals, weights = zip(tot[0].tolist(), tot[1].tolist()), [None] * len(n)
+    return [(p, iv[0, s:s + c].tolist(), iv[1, s:s + c].tolist(), vals[s:s + c], errs[s:s + c],
+             t, w) for p, s, c, t, w in
+            zip(pid.tolist(), starts.tolist(), n.tolist(), totals, weights)]
 
 
 def integrate_semi_infinite(

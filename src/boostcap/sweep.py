@@ -21,7 +21,8 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .capacity import capacity_report
-from .channel import PacketFrame, PauliLambda, lambda_batch, lambda_numeric, lambda_probs
+from .channel import (PacketFrame, PauliLambda, _integrals, lambda_batch, lambda_numeric,
+                      lambda_probs)
 from .errors import BoostcapError, DomainError
 from .quadrature import QuadratureConfig, SWEEP_CONFIG
 
@@ -139,7 +140,15 @@ def _row(index: int, inv_gamma: float, zeta: float, lam: PauliLambda | BoostcapE
 
 
 def _eval_chunk(points: list[tuple], cfg: QuadratureConfig, method: str) -> list[dict]:
-    """Rows of a few grid points from one batched worklist of the method."""
+    """Rows of a few grid points from one batched worklist of the method.
+
+    ``lambda_batch`` returns each frame's own error as its entry.  The
+    per-point fallback is for errors that it raises instead, which belong
+    to no one frame of the batch: a point whose frame cannot be made (its
+    1/inv_gamma overflows, a DomainError), or an integrand that returns a
+    non-finite value.  Each point of the chunk then flags its own error.
+    An unknown method never gets here: :func:`run_sweep` refuses it first.
+    """
     try:
         lams = lambda_batch([PacketFrame(1.0 / ig, z) for _, ig, z in points], cfg, method)
     except BoostcapError:
@@ -155,8 +164,10 @@ def run_sweep(spec: SweepSpec, cfg: QuadratureConfig = SWEEP_CONFIG,
     Either method runs batched worklists of at most ``CHUNK_FRAMES`` grid
     points, each row bit-identical to its point evaluated alone.  ``jobs``
     is accepted and ignored: sweeps start no worker processes, and callers
-    that still pass it keep working.
+    that still pass it keep working.  An unknown method raises DomainError
+    before any quadrature.
     """
+    _integrals(method)
     points = []
     for i, x in enumerate(spec.grid()):
         inv_gamma, zeta = (x, spec.fixed) if spec.axis == "inv_gamma" else (spec.fixed, x)

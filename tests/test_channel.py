@@ -291,6 +291,47 @@ class TestLambdaNumeric:
             got.append(channel._azimuthal_profiles(kinds, thetas, DEFAULT_CONFIG).tobytes())
         assert got[0] == got[1] == got[2]
 
+    # approaching, rest and receding frames across the validated domain,
+    # twice the array loop's threshold of them, shuffled
+    LOOP_FRAMES = [PacketFrame(g, z) for g, z in np.random.default_rng(23).permutation(
+        [(g, z) for g in (1e-3, 0.1, 1.0, 20.0, 1e4)
+         for z in (-10.0, -9.5, -3.0, -0.5, 0.0, 0.7, 2.0, 5.0, 9.0, 10.0)]).tolist()]
+
+    @staticmethod
+    def each_loop(monkeypatch, run):
+        # run() under the array loop throughout, with its hand-over to the
+        # generators at its threshold, and on the generators alone
+        outs = []
+        for least in (1, quadrature._ARRAY_MIN_PROBLEMS, 10 ** 9):
+            monkeypatch.setattr(quadrature, "_ARRAY_MIN_PROBLEMS", least)
+            outs.append(run())
+        return outs
+
+    @pytest.mark.parametrize("cfg", [SWEEP_CONFIG, DEFAULT_CONFIG], ids=["sweep", "default"])
+    def test_fast_path_worklist_loops_agree(self, monkeypatch, cfg):
+        frames = self.LOOP_FRAMES
+        assert len(frames) >= 2 * quadrature._ARRAY_MIN_PROBLEMS
+        outs = self.each_loop(monkeypatch, lambda: [
+            tuple(v.hex() for v in lam.as_tuple()) for lam in channel.lambda_batch(frames, cfg)])
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_fast_path_worklist_loops_fail_the_same_frames(self, monkeypatch):
+        # under this budget some frames fail; each one's error, with its
+        # row's estimate and bound and its frame's index, is the same on
+        # every loop
+        starved = QuadratureConfig(1e-12, 1e-8, 35)
+
+        def run():
+            return [(str(e), e.estimate.hex(), e.error_bound.hex(), e.problem)
+                    if isinstance(e, ConvergenceError) else tuple(v.hex() for v in e.as_tuple())
+                    for e in channel.lambda_batch(self.LOOP_FRAMES, starved)]
+
+        outs = self.each_loop(monkeypatch, run)
+        assert outs[0] == outs[1] == outs[2]
+        failed = [k for k, e in enumerate(outs[0]) if len(e) == 4]
+        assert 0 < len(failed) < len(self.LOOP_FRAMES)
+        assert [outs[0][k][3] for k in failed] == failed
+
     def test_quarter_seeds_are_the_geometric_stack(self, monkeypatch):
         # a node's seeds come from a table by their count; they must be the
         # geometric_refinement stack toward both axes that they replace

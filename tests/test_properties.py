@@ -11,6 +11,7 @@ from boostcap import channel  # noqa: E402
 from boostcap.capacity import classical_capacity, hashing_bound  # noqa: E402
 from boostcap.channel import PacketFrame, lambda_numeric, lambda_probs  # noqa: E402
 from boostcap.quadrature import DEFAULT_CONFIG, SWEEP_CONFIG  # noqa: E402
+from boostcap.wavepacket import normalization  # noqa: E402
 
 # polar angles, with t = pi/2 and its neighbourhood drawn on their own: the
 # azimuthal denominators shrink to cos^2 t at the axes there
@@ -90,3 +91,18 @@ def test_small_spread_is_the_identity_channel(zeta, spread):
     assume(1e-3 <= gamma <= 1e4)
     for value in _fast(gamma, zeta).as_tuple():
         assert 1.0 - value <= 0.13 * spread ** 4 + _ROUNDING
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(gamma=_GAMMAS, zeta=_ZETAS)
+def test_fast_path_norm_is_the_closed_form(gamma, zeta):
+    # the N row of the fast path's one rows problem against pi^(3/2) Gamma
+    # erfcx(1/Gamma).  Its quadrature error is below 1e-10 relative here;
+    # what is left comes from the cutoff angle theta_c = acos(-tanh zeta),
+    # ill-conditioned at |zeta| near 10, where it sets the end of the range
+    # next to which the kernel's mass lies: the worst of 300 random frames
+    # of the domain was 7.5e-9, at zeta = 9.85 (ROADMAP item 7)
+    frame = PacketFrame(gamma, zeta)
+    norm = channel._closed_integrals([frame], DEFAULT_CONFIG)[0]["norm"]
+    closed = normalization(frame, "closed_form")
+    assert abs(norm - closed) <= 1e-8 * closed, (frame, norm / closed - 1.0)

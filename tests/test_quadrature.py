@@ -192,7 +192,7 @@ class TestBatch:
 
 
 class TestScalarRounds:
-    # _scalar_rounds is _refine on arrays: every problem gets the same bits,
+    # _array_rounds is _refine on arrays: every problem gets the same bits,
     # or the same ConvergenceError, from the array loop throughout, from the
     # generators alone, and with the hand-over between them at 3 live
     # problems.  x * x converges on its seeds; the 2-ulp problem bisects once
@@ -315,6 +315,144 @@ class TestScalarRounds:
                               [p[3] for p in problems], self.batched(problems))
         assert outs[0] == outs[1] == outs[2]
         assert outs[0][1] == 1
+
+
+class TestRowsRounds:
+    # _array_rounds runs rows problems as _refine runs them: seed totals,
+    # priorities weighted by the seed pass, the row-by-row tolerance test
+    # and re-sum, and the weights carried over at the hand-over at 3 live
+    # problems must all give the same bits, or the same ConvergenceError,
+    # on every loop
+    LEAST = TestScalarRounds.LEAST
+    U = TestScalarRounds.U
+    # (rows integrand, a, b, seeds)
+    PROBLEMS = (
+        # rows of very different scales, with a near-singular peak: which
+        # interval splits next depends on the weights
+        (lambda x: np.array([np.exp(-x * x), 1e-9 * np.cos(3.0 * x),
+                             1e6 / np.sqrt(np.abs(x - 0.3) + 1e-6), x ** 3]), -1.0, 2.0, [0.3]),
+        # the second row integrates to 0, so it passes only on abs_tol
+        (lambda x: np.array([x * x, np.sin(7.0 * x), np.cos(x), 1.0 + 0.0 * x]), -1.0, 1.0,
+         None),
+        # an all-zero integrand: every priority is 0 from the seeds on
+        (lambda x: np.zeros((4, x.size)), 0.0, 2.0, [0.5, 1.0]),
+        # two ulps: one bisection, then floating point resolution
+        (lambda x: np.array([1.0 / (x - 0.999), x, -x, 2.0 + 0.0 * x]), 1.0, 1.0 + 2 * U, None),
+        # many seeds, of two counts: seed totals summed pairwise
+        (lambda x: np.array([np.sqrt(np.abs(x - 0.7)), 1e3 * x, np.exp(x), 1e-4 * np.sin(x)]),
+         0.0, 1.0, np.linspace(0.05, 0.95, 19).tolist()),
+        (lambda x: np.array([1.0 / (1.0 + 400.0 * (x - 0.2) ** 2), 1e-8 * x, x * x,
+                             np.abs(x - 0.55)]), 0.0, 1.0, np.linspace(0.1, 0.9, 11).tolist()),
+        (lambda x: np.array([np.cos(20.0 * x), 1e5 * np.exp(-x), 1e-6 / np.sqrt(x + 1e-7),
+                             x]), 0.0, 3.0, [1.0, 2.0]),
+    )
+
+    @staticmethod
+    def batched(problems):
+        def f(x, idx):
+            out = np.empty((4, x.size))
+            for p, (g, *_) in enumerate(problems):
+                out[:, idx == p] = g(x[idx == p])
+            return out
+        return f
+
+    @classmethod
+    def each_loop(cls, monkeypatch, problems, cfg):
+        outs = []
+        for least in cls.LEAST:
+            monkeypatch.setattr(quadrature, "_ARRAY_MIN_PROBLEMS", least)
+            try:
+                vals, errs = integrate_batch(cls.batched(problems), [p[1] for p in problems],
+                                             [p[2] for p in problems], cfg,
+                                             [p[3] for p in problems])
+                outs.append((vals.tobytes(), errs.tobytes()))
+            except ConvergenceError as exc:
+                assert exc.estimate.shape == exc.error_bound.shape == (4,)
+                outs.append((str(exc), exc.problem, exc.estimate.tobytes(),
+                             exc.error_bound.tobytes()))
+        return outs
+
+    @pytest.mark.parametrize("cfg", [QuadratureConfig(1e-12, 1e-10, 2000),
+                                     QuadratureConfig(1e-10, 1e-13, 2000),
+                                     QuadratureConfig(1e-8, 1e-12, 2000)],
+                             ids=["default", "relative", "absolute"])
+    def test_every_problem_gets_the_bits_of_refine(self, monkeypatch, cfg):
+        outs = self.each_loop(monkeypatch, self.PROBLEMS, cfg)
+        assert outs[0] == outs[1] == outs[2]
+        vals, errs = (np.frombuffer(b).reshape(len(self.PROBLEMS), 4) for b in outs[0])
+        assert not vals[2].any() and not errs[2].any()
+        # the zero row met abs_tol and not rel_tol
+        assert cfg.rel_tol * abs(vals[1, 1]) < errs[1, 1] <= cfg.abs_tol
+        # and each one the bits that it gets alone
+        for (g, a, b, seeds), val, err in zip(self.PROBLEMS, vals, errs):
+            alone = integrate(g, a, b, cfg, breakpoints=seeds)
+            assert (val.tobytes(), err.tobytes()) == (alone[0].tobytes(), alone[1].tobytes())
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_stand_in_errors_with_ties_and_rounding(self, monkeypatch, seed):
+        # a stand-in rule gives each interval's rows values of both signs
+        # over many binades, from a hash of its ends: running totals drift
+        # far from the seed pass's, and with them the weights that _refine
+        # would compute from what it is handed.  Errors come from a few
+        # mantissas and binades, some 0, so priorities tie; problems a few
+        # ulps wide reach floating point resolution.  It returns the
+        # transposed layout of _rule, whose slices _refine sums
+        rng = np.random.default_rng(seed)
+        scale = 2.0 ** rng.integers(-30, 30, 4)
+
+        def rule(fx, lows, highs):
+            keys = np.array([[hash((lo, hi, r)) for lo, hi in zip(lows.tolist(), highs.tolist())]
+                             for r in range(4)])
+            vals = (keys % 1009 - 504) / 7.0 * 2.0 ** (keys % 17 - 8) * scale[:, None]
+            # shrinking with the width, but not on intervals of a few ulps
+            shrink = np.where(highs - lows < 2.0 ** -40, 1.0, (1e3 * (highs - lows)) ** 2)
+            errs = keys % 5 / 4.0 * 2.0 ** -(keys % 13) * scale[:, None] * shrink
+            return vals.T, errs.T
+
+        monkeypatch.setattr(quadrature, "_rule", rule)
+        n = 12
+        a = rng.uniform(-1.0, 1.0, n)
+        widths = np.where(np.arange(n) % 3 == 0, rng.integers(1, 8, n) * 2.0 ** -52,
+                          10.0 ** rng.uniform(-3.0, 0.0, n))
+        b = [x + w for x, w in zip(a.tolist(), widths.tolist())]
+        seeds = [sorted(rng.uniform(x, y, rng.integers(0, 16))) for x, y in zip(a, b)]
+        cfg = QuadratureConfig(2.0 ** -int(rng.integers(0, 30)), 2.0 ** -int(rng.integers(0, 12)),
+                               int(rng.integers(10, 200)))
+        problems = [(lambda x: np.zeros((4, x.size)), lo, hi, sd)
+                    for lo, hi, sd in zip(a.tolist(), b, seeds)]
+        outs = self.each_loop(monkeypatch, problems, cfg)
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_hand_over_carries_the_seed_totals_and_weights_of_refine(self, monkeypatch):
+        # with more problems live than the array loop runs, it hands every
+        # one over as it was seeded: the totals and weights must be those
+        # that _refine computes from the seed pass, whose rows it sums down
+        # _rule's transposed slices
+        rng = np.random.default_rng(5)
+        counts = [1, 3, 9, 9, 16, 9, 40, 130, 3, 16]
+        size = sum(counts)
+        vals = (rng.standard_normal((4, size)) * 10.0 ** rng.uniform(-9, 9, (4, size))).T
+        errs = (rng.uniform(0.0, 1.0, (4, size)) * 10.0 ** rng.uniform(-16, 2, (4, size))).T
+        lows = np.sort(rng.uniform(0.0, 1.0, size)).tolist()
+        cfg = QuadratureConfig(1e-12, 1e-10, 2000)
+        monkeypatch.setattr(quadrature, "_ARRAY_MIN_PROBLEMS", len(counts) + 1)
+        for v, e in ((vals, errs), (vals[:, 0].copy(), errs[:, 0].copy())):
+            rest = quadrature._array_rounds(None, cfg, list(range(len(counts))), counts, lows,
+                                            lows, v, e, [None] * len(counts))
+            ends = np.cumsum(counts)
+            for (p, *_, totals, weight), s, t in zip(rest, ends - counts, ends):
+                total = v[s:t].sum(axis=0)
+                assert totals == (total.tolist(), e[s:t].sum(axis=0).tolist()), p
+                if v.ndim > 1:
+                    seeded = 1.0 / np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+                    assert weight == seeded.tolist(), p
+
+    @pytest.mark.parametrize("budget", [1, 12, 30])
+    def test_starved_budget_raises_the_same_error(self, monkeypatch, budget):
+        starved = QuadratureConfig(1e-14, 1e-13, budget)
+        outs = self.each_loop(monkeypatch, self.PROBLEMS, starved)
+        assert outs[0] == outs[1] == outs[2]
+        assert len(outs[0]) == 4
 
 
 class TestSemiInfinite:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from boostcap import channel, sweep
+from boostcap import channel, quadrature, sweep
 from boostcap.channel import PacketFrame, lambda_numeric
 from boostcap.cli import _quadrature_from, build_parser, main
 from boostcap.errors import DomainError
@@ -166,9 +166,15 @@ class TestBatchedSweep:
         rows = run_sweep(SweepSpec("zeta", -21.0, -18.0, 4, 0.05), SWEEP_CONFIG, method)
         assert [r["status"] for r in rows] == ["error:RangeError"] * 2 + ["ok"] * 2
 
-    def test_unknown_method_flags_every_row(self):
-        rows = run_sweep(SweepSpec("zeta", -1.0, 0.5, 3, 1.0), SWEEP_CONFIG, "bogus")
-        assert [r["status"] for r in rows] == ["error:DomainError"] * 3
+    def test_unknown_method_raises_before_any_quadrature(self, monkeypatch):
+        # a method that no point can use is the caller's error, not a row's
+        def refused(*args):
+            raise AssertionError("quadrature ran for an unknown method")
+
+        monkeypatch.setattr(sweep, "lambda_batch", refused)
+        monkeypatch.setattr(sweep, "_eval_point", refused)
+        with pytest.raises(DomainError, match="unknown lambda method 'bogus'"):
+            run_sweep(SweepSpec("zeta", -1.0, 0.5, 3, 1.0), SWEEP_CONFIG, "bogus")
 
     def test_point_without_a_frame_is_flagged(self):
         # 1/inv_gamma overflows at the first point, so its chunk cannot be
@@ -220,6 +226,18 @@ class TestRendering:
             "45494e62fd2b82a2e2550aaac4f32fe5eee0444387432becd9ec1c775bf91c0a"
         assert hashlib.sha256(render_csv(receding)).hexdigest() == \
             "f150fb7e0f1ee18afc5b81ec9fc2bbe69f63da7e071ab683881388b4897d9775"
+
+    def test_fast_path_csv_bytes_on_every_worklist_loop(self, monkeypatch):
+        # the pinned curves run 9 and 7 frames, below the array loop's
+        # threshold; a full chunk's rows problems run on it, with or without
+        # the hand-over to the generators, and must render the same bytes
+        spec = SweepSpec("inv_gamma", 0.001, 1.0, 200, 1.0)
+        assert sweep.CHUNK_FRAMES >= quadrature._ARRAY_MIN_PROBLEMS
+        payloads = []
+        for least in (1, quadrature._ARRAY_MIN_PROBLEMS, 10 ** 9):
+            monkeypatch.setattr(quadrature, "_ARRAY_MIN_PROBLEMS", least)
+            payloads.append(render_csv(run_sweep(spec, SWEEP_CONFIG)))
+        assert payloads[0] == payloads[1] == payloads[2]
 
     def test_svg_structure(self, fig2_rows):
         spec, rows = fig2_rows
