@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BoostcapError, ConvergenceError, DomainError, IntegrityError,
-                     NotAChannelError, RangeError)
+                     NotAChannelError, RangeError, as_count)
 from .quadrature import (_REFINE_MAX_POINTS, DEFAULT_CONFIG, QuadratureConfig,
                          geometric_refinement, integrate, integrate_batch)
 from .special_functions import _agm_ked, _elliptic_ked, erf_family, erfi, hyp2f2_11_52_3
@@ -669,7 +669,7 @@ def series_coeffs(kind: str, n: int, L: float,
     """
     if kind not in ("kappa", "iota"):
         raise DomainError(f"series kind must be 'kappa' or 'iota', got {kind!r}")
-    if n < 0 or n != int(n):
+    if as_count(n, "moment order") < 0:
         raise DomainError(f"moment order must be a non-negative integer, got {n!r}")
     if not (math.isfinite(L) and L > 0):
         raise DomainError(f"truncation length must be positive, got {L!r}")
@@ -873,7 +873,7 @@ def lambda12_series(gamma: float, n_max: int, L: float | None = None,
     if gamma < SERIES_MIN_GAMMA:
         raise RangeError(
             f"series expansion validated for gamma >= {SERIES_MIN_GAMMA}, got {gamma!r}")
-    if n_max < 0:
+    if as_count(n_max, "n_max") < 0:
         raise DomainError(f"n_max must be non-negative, got {n_max!r}")
     if L is None:
         L = SERIES_MATCH_POINT

@@ -7,6 +7,8 @@ from numerical trouble.
 
 from __future__ import annotations
 
+import operator
+
 
 class BoostcapError(Exception):
     """Base class for every error raised by this package."""
@@ -54,3 +56,12 @@ class ThresholdNotFoundError(BoostcapError):
 
 class PreconditionError(BoostcapError, ValueError):
     """Operation precondition violated (e.g. solver called off its regime)."""
+
+
+def as_count(value, what: str) -> int:
+    """``value`` as an int: Python and numpy integers pass, and anything
+    else, 2.0 included, raises :class:`DomainError`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None

@@ -12,15 +12,19 @@ function of a problem's own estimates, which makes repeated runs
 bit-identical, and the GK15 rule reduces every interval on its own, so each
 problem of a batch gets the bits that it gets alone.
 
-The worklist runs each problem in one of two loops, with the same decisions
-in the same floating point operations, so a problem gets the same bits and
-the same error from either.  ``_refine``, a generator per problem with a
-heap of intervals, costs a few microseconds of Python per problem and
-round; it runs small batches and the last few problems of a large one.
+The worklist runs each problem in one of two loops, with the same floating
+point operations, so a problem gets the same bits and the same error from
+either.  ``_refine``, a generator per problem with a heap of intervals,
+makes every decision, the rare ones too: a problem out of budget, one with
+only zero-priority intervals left, and an interval at floating point
+resolution.  It costs a few microseconds of Python per problem and round,
+and runs small batches and the last few problems of a large one.
 ``_array_rounds`` holds the intervals of many problems, scalar or rows, in
-the columns of one array and decides a round for all of them in a fixed
-number of array operations, which costs more per round and little per
-problem.  So the choice goes by the number of live problems:
+the columns of one array and runs plain rounds for all of them, the
+tolerance test and one bisection each, in a fixed number of array
+operations, which costs more per round and little per problem; at the first
+round that needs a rare decision it hands every live problem to its
+``_refine``.  So the choice goes by the number of live problems:
 ``_ARRAY_MIN_PROBLEMS``.  Measured on one scalar integrand, a round of 16
 problems costs 129 us in the generators and 178 us on arrays, one of 24
 about 153 us either way, and one of 64 costs 352 us against 209 us; on one
@@ -39,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, as_count
 
 # 15-point Kronrod abscissae (positive half) and weights, with the embedded
 # 7-point Gauss weights on the odd-indexed nodes.
@@ -106,8 +110,10 @@ class QuadratureConfig:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("quadrature tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise DomainError("quadrature tolerances must be positive and finite")
+        object.__setattr__(self, "max_subdivisions",
+                           as_count(self.max_subdivisions, "max_subdivisions"))
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
 
@@ -208,9 +214,11 @@ def _worklist(f, a, b, cfg, breakpoints):
     Every round gathers the intervals that each unfinished problem asks for
     (first its seed partition, then one bisection), evaluates them in one
     call ``f(x, idx)`` and reduces them in one GK15 batch.  Problems, scalar
-    or rows, go on in :func:`_array_rounds` while at least
-    ``_ARRAY_MIN_PROBLEMS`` of them are live; small batches and the last
-    few problems of a large one each go on in their own :func:`_refine`.
+    or rows, go on in the plain rounds of :func:`_array_rounds` while at
+    least ``_ARRAY_MIN_PROBLEMS`` of them are live; small batches, the last
+    few problems of a large one, and every problem live at a round that
+    needs a rare decision each go on in their own :func:`_refine`, which
+    makes it.  A problem out of budget raises here.
     """
     results = [None] * len(a)
     live, empty = [], []
@@ -245,7 +253,9 @@ def _worklist(f, a, b, cfg, breakpoints):
     def finish(p, value):                # problem p's loop has returned
         total, total_err, converged = value
         if not converged:
-            raise _exhausted(cfg, total, total_err, p) from None
+            raise ConvergenceError(
+                f"quadrature did not converge within {cfg.max_subdivisions} subdivisions",
+                estimate=total, error_bound=total_err, problem=p) from None
         results[p] = total, total_err
 
     pending = {}                         # problem -> (its loop, the intervals it asks for)
@@ -297,12 +307,6 @@ def _evaluate(f, problems, counts, lows, highs):
     idx = problems.repeat(15 * counts)
     fx = _gk15(lambda x: f(x, idx), lows, highs)
     return _rule(fx, lows, highs)
-
-
-def _exhausted(cfg, total, total_err, p):
-    return ConvergenceError(
-        f"quadrature did not converge within {cfg.max_subdivisions} subdivisions",
-        estimate=total, error_bound=total_err, problem=p)
 
 
 def _refine(cfg, lows, highs, vals, errs, totals=None, weight=None):
@@ -382,7 +386,7 @@ def _refine(cfg, lows, highs, vals, errs, totals=None, weight=None):
 
 
 def _array_rounds(f, cfg, problems, counts, lows, highs, vals, errs, results):
-    """:func:`_refine` for many problems at once, on arrays.
+    """The plain rounds of :func:`_refine` for many problems at once, on arrays.
 
     Problem ``problems[i]`` owns ``n[i]`` consecutive columns of ``iv``, in
     the order of lo.  The rows of ``iv`` are its intervals' lo, hi, values
@@ -390,15 +394,15 @@ def _array_rounds(f, cfg, problems, counts, lows, highs, vals, errs, results):
     problems, and last their priority: for a scalar problem that is its
     error row, for rows the largest error times the seed pass's weight.
     ``tot`` holds the running totals, value rows over error rows, one
-    column per problem.  Each round decides every problem as ``_refine``
-    decides it, with the same floating point operations, and bisects each
-    one's worst interval (largest priority, ties to the smaller lo) in one
-    integrand call; so every problem gets the bits, and the error, that
-    ``_refine`` gives it.  Problems leave as they converge, and
-    ``math.fsum`` runs, row by row, where ``_refine`` re-sums.  Once fewer
-    than ``_ARRAY_MIN_PROBLEMS`` are live, returns each one's (problem,
-    lows, highs, values, errors, totals, weight) for its ``_refine`` to go
-    on from.
+    column per problem.  Each round is ``_refine``'s plain round for every
+    problem, in its floating point operations: the tolerance test, with
+    ``math.fsum``, row by row, where ``_refine`` re-sums, then a bisection of
+    each unconverged problem's worst interval (largest priority, ties to the
+    smaller lo), all in one integrand call.  Problems leave as they converge.
+    Once fewer than ``_ARRAY_MIN_PROBLEMS`` are live, or at the first round
+    that needs a rare decision (see the module docstring), returns each live
+    one's (problem, lows, highs, values, errors, totals, weight) for its
+    ``_refine`` to go on from and decide.
     """
     rows = vals.ndim > 1
     k = vals.shape[1] if rows else 1
@@ -428,57 +432,38 @@ def _array_rounds(f, cfg, problems, counts, lows, highs, vals, errs, results):
             sums += map(math.fsum, iv[2:2 + 2 * k, s:s + c].tolist())
         tot[:, some] = np.array(sums).reshape(len(some), 2 * k).T
 
-    def estimates(some):                  # (estimate, bound) of each of some problems
-        if rows:
-            return zip(tot[:k, some].T, tot[k:, some].T)
-        return zip(tot[0, some].tolist(), tot[1, some].tolist())
-
     while len(n) >= _ARRAY_MIN_PROBLEMS:
-        lo, hi, err, key = iv[0], iv[1], iv[2 + k:2 + 2 * k], iv[-1]
+        key = iv[-1]
         done = np.zeros(len(n), dtype=bool)
-        act, split = np.arange(len(n)), []
-        while act.size:
-            passed = act[within_tol()[act]]
-            if passed.size:
-                resum(passed)
-                done[passed] = within_tol()[passed]
-                act = act[~done[act]]
-            out = act[n[act] >= cfg.max_subdivisions]
-            if out.size:
-                resum(out[:1])
-                raise _exhausted(cfg, *next(estimates(out[:1])), int(pid[out[0]]))
-            # each problem's worst interval: its first of largest priority,
-            # as _refine's heap orders them
-            at = np.flatnonzero(key == np.maximum.reduceat(key, starts).repeat(n))
-            if len(at) > len(n):
-                at = at[np.searchsorted(at, starts)]
-            at = at[act]
-            flat = key[at] == 0.0
-            if flat.any():
-                # only unsplittable or converged intervals remain
-                resum(act[flat])
-                done[act[flat]] = True
-                act, at = act[~flat], at[~flat]
-            a, b = lo[at], hi[at]
-            m = 0.5 * (a + b)
-            tiny = (m <= a) | (m >= b)
-            split.append(at[~tiny])
-            act, at = act[tiny], at[tiny]
-            if act.size:
-                # intervals at floating point resolution: accept their estimates
-                tot[k:, act] -= err[:, at]
-                err[:, at] -= err[:, at]
-                key[at] = 0.0
+        passed = np.flatnonzero(within_tol())
+        if passed.size:
+            resum(passed)
+            done[passed] = within_tol()[passed]
         finished = np.flatnonzero(done)
-        for p, pair in zip(pid[finished].tolist(), estimates(finished)):
+        some = tot[:, finished]
+        pairs = zip(some[:k].T, some[k:].T) if rows else zip(*some.tolist())
+        for p, pair in zip(pid[finished].tolist(), pairs):
             results[p] = pair
-        at = np.sort(np.concatenate(split)) if len(split) > 1 else split[0]
-        if not at.size:
+        live = np.flatnonzero(~done)
+        if not live.size:
             return []
-        live = np.flatnonzero(~done)          # the problems that bisect, in order
-        # the two halves of every bisection, left then right, as columns of iv
-        a, b = lo[at], hi[at]
+        # each live problem's worst interval: its first of largest priority,
+        # as _refine's heap orders them
+        at = np.flatnonzero(key == np.maximum.reduceat(key, starts).repeat(n))
+        if len(at) > len(n):
+            at = at[np.searchsorted(at, starts)]
+        at = at[live]
+        a, b = iv[0, at], iv[1, at]
         m = 0.5 * (a + b)
+        if ((n[live] >= cfg.max_subdivisions).any() or (key[at] == 0.0).any()
+                or ((m <= a) | (m >= b)).any()):
+            # a budget, zero-priority or resolution decision: _refine makes it
+            iv, tot, pid, n = iv[:, ~done.repeat(n)], tot[:, live], pid[live], n[live]
+            starts = np.cumsum(n) - n
+            if rows:
+                weight = weight[:, live]
+            break
+        # the two halves of every bisection, left then right, as columns of iv
         halves = np.empty((len(iv), 2 * len(at)))
         halves[0, 0::2], halves[0, 1::2], halves[1, 0::2], halves[1, 1::2] = a, m, m, b
         v, e = _evaluate(f, pid[live], 2, halves[0], halves[1])

@@ -23,7 +23,7 @@ from . import __version__
 from .capacity import capacity_report
 from .channel import (PacketFrame, PauliLambda, _integrals, lambda_batch, lambda_numeric,
                       lambda_probs)
-from .errors import BoostcapError, DomainError
+from .errors import BoostcapError, DomainError, as_count
 from .quadrature import QuadratureConfig, SWEEP_CONFIG
 
 AXES = ("inv_gamma", "zeta")
@@ -71,6 +71,7 @@ class SweepSpec:
             raise DomainError(f"axis must be one of {AXES}, got {self.axis!r}")
         if not (self.start < self.stop):
             raise DomainError("sweep range is empty (start must be < stop)")
+        object.__setattr__(self, "steps", as_count(self.steps, "sweep steps"))
         if self.steps < 2:
             raise DomainError("a sweep needs at least 2 steps")
         if self.axis == "inv_gamma" and self.start <= 0:

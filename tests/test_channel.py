@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from boostcap import channel, quadrature
+from boostcap import channel, quadrature, sweep
 from boostcap.channel import (LAMBDA3_CONSTANT, PacketFrame, PauliLambda,
                               PauliProbs, QubitState, apply_pauli,
                               apply_pauli_matrix, compose, g_funcs,
@@ -331,6 +331,39 @@ class TestLambdaNumeric:
         failed = [k for k, e in enumerate(outs[0]) if len(e) == 4]
         assert 0 < len(failed) < len(self.LOOP_FRAMES)
         assert [outs[0][k][3] for k in failed] == failed
+
+    @pytest.mark.parametrize("run", [
+        lambda: sweep.run_sweep(sweep.SweepSpec("inv_gamma", 0.001, 1.0, 200, 1.0), SWEEP_CONFIG,
+                                jobs=1),
+        lambda: channel._frame_integrals.__wrapped__(1.0, 0.5, DEFAULT_CONFIG, "quadrature"),
+    ], ids=["receding-curve", "oracle-frame"])
+    def test_large_batches_stay_on_the_array_loop(self, monkeypatch, run):
+        # the array loop hands a batch to the generators early only for a
+        # rare decision (budget, zero priority, floating point resolution),
+        # which these inputs never need: a worklist of at least
+        # _ARRAY_MIN_PROBLEMS problems starts generators only for its last
+        # few.  Worklists nest: the oracle's azimuthal ones run inside its
+        # polar integrand
+        least = quadrature._ARRAY_MIN_PROBLEMS
+        worklist, refine = quadrature._worklist, quadrature._refine
+        started, sizes = [], []
+
+        def counting_worklist(f, a, *args):
+            started.append(0)
+            try:
+                return worklist(f, a, *args)
+            finally:
+                sizes.append((len(a), started.pop()))
+
+        def counting_refine(*args):
+            started[-1] += 1
+            return refine(*args)
+
+        monkeypatch.setattr(quadrature, "_worklist", counting_worklist)
+        monkeypatch.setattr(quadrature, "_refine", counting_refine)
+        run()
+        large = [n for problems, n in sizes if problems >= least]
+        assert large and max(large) <= least - 1
 
     def test_quarter_seeds_are_the_geometric_stack(self, monkeypatch):
         # a node's seeds come from a table by their count; they must be the
@@ -786,6 +819,10 @@ class TestSeriesCoeffs:
             series_coeffs("kappa", -1, 50.0, cfg)
         with pytest.raises(DomainError):
             series_coeffs("kappa", 0, -5.0, cfg)
+        # a moment order is a count: 2.0 is refused, a numpy integer is one
+        with pytest.raises(DomainError, match="integer"):
+            series_coeffs("iota", 2.0, 10.0, cfg)
+        assert series_coeffs("iota", np.int64(2), 10.0, cfg) == series_coeffs("iota", 2, 10.0, cfg)
 
 
 class TestLambda12Series:
@@ -855,6 +892,8 @@ class TestLambda12Series:
             lambda12_series(1.0, 4)
         with pytest.raises(DomainError):
             lambda12_series(5.0, -1)
+        with pytest.raises(DomainError, match="integer"):
+            lambda12_series(5.0, 2.0)
         with pytest.raises(DomainError):
             lambda12_series(5.0, 2, 1.0)
 

@@ -21,6 +21,18 @@ class TestConfig:
         with pytest.raises(DomainError):
             QuadratureConfig(max_subdivisions=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_subdivisions": 2.5}, {"max_subdivisions": 2000.0}, {"max_subdivisions": "9"},
+        {"abs_tol": math.inf}, {"rel_tol": math.inf}, {"rel_tol": math.nan}])
+    def test_counts_are_integers_and_tolerances_finite(self, kwargs):
+        # an infinite tolerance would pass every integral on its seed pass
+        with pytest.raises(DomainError):
+            QuadratureConfig(**kwargs)
+
+    def test_numpy_integer_budget_is_an_int(self):
+        cfg = QuadratureConfig(max_subdivisions=np.int64(40))
+        assert type(cfg.max_subdivisions) is int and cfg == QuadratureConfig(1e-12, 1e-10, 40)
+
 
 class TestIntegrate:
     def test_polynomial_exact(self):
@@ -192,8 +204,9 @@ class TestBatch:
 
 
 class TestScalarRounds:
-    # _array_rounds is _refine on arrays: every problem gets the same bits,
-    # or the same ConvergenceError, from the array loop throughout, from the
+    # _array_rounds runs _refine's plain rounds on arrays and hands the
+    # rare decisions to _refine: every problem gets the same bits, or the
+    # same ConvergenceError, from the array loop throughout, from the
     # generators alone, and with the hand-over between them at 3 live
     # problems.  x * x converges on its seeds; the 2-ulp problem bisects once
     # and then reaches floating point resolution; the zero integrand has
@@ -318,11 +331,11 @@ class TestScalarRounds:
 
 
 class TestRowsRounds:
-    # _array_rounds runs rows problems as _refine runs them: seed totals,
-    # priorities weighted by the seed pass, the row-by-row tolerance test
-    # and re-sum, and the weights carried over at the hand-over at 3 live
-    # problems must all give the same bits, or the same ConvergenceError,
-    # on every loop
+    # _array_rounds runs the plain rounds of rows problems as _refine runs
+    # them, and hands the rare decisions to _refine: seed totals, priorities
+    # weighted by the seed pass, the row-by-row tolerance test and re-sum,
+    # and the weights carried over at every hand-over must all give the
+    # same bits, or the same ConvergenceError, on every loop
     LEAST = TestScalarRounds.LEAST
     U = TestScalarRounds.U
     # (rows integrand, a, b, seeds)

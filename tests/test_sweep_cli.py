@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from boostcap import channel, quadrature, sweep
@@ -37,6 +38,12 @@ class TestSweepSpec:
                 SweepSpec(axis="zeta", start=bad, stop=1.0, steps=3, fixed=1.0)
             with pytest.raises(DomainError, match="fixed"):
                 SweepSpec(axis="inv_gamma", start=0.1, stop=1.0, steps=3, fixed=bad)
+        for bad in (2.5, 3.0, "3"):
+            with pytest.raises(DomainError, match="steps"):
+                SweepSpec("inv_gamma", 0.1, 1.0, bad, 0.0)
+        # numpy integers are counts, and are stored as ints
+        spec = SweepSpec("inv_gamma", 0.1, 1.0, np.int64(3), 0.0)
+        assert type(spec.steps) is int and spec.grid() == [0.1, 0.55, 1.0]
 
     def test_grid_endpoints(self):
         spec = SweepSpec(axis="zeta", start=-2.0, stop=0.0, steps=5, fixed=0.1)
@@ -281,6 +288,11 @@ class TestCli:
 
     def test_invalid_velocity_usage_error(self, capsys):
         assert main(["lambdas", "--gamma", "1.0", "--velocity", "1.5"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--abs-tol", "--rel-tol"])
+    def test_infinite_tolerance_usage_error(self, flag, capsys):
+        assert main(["lambdas", "--gamma", "1", flag, "inf"]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_strongly_receding_wide_packet_converges(self, capsys):
         # this frame once exhausted the polar budget and exited 3
