@@ -1,9 +1,9 @@
 """Minimal double-double (hi, lo) arithmetic for cancellation-prone series.
 
 A value is an unevaluated sum hi + lo with |lo| <= ulp(hi)/2, giving roughly
-32 significant decimal digits.  Only the handful of operations the special
-function series need are provided.  No FMA is assumed: products are split
-with Dekker's algorithm.
+32 significant decimal digits.  Only the handful of operations the
+alternating 2F2(1,1;5/2,3;p) series needs are provided.  No FMA is assumed:
+products are split with Dekker's algorithm.
 """
 
 from __future__ import annotations

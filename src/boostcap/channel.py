@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BoostcapError, ConvergenceError, DomainError, IntegrityError,
-                     NotAChannelError, RangeError, as_count)
+                     NotAChannelError, RangeError, as_count, is_finite)
 from .quadrature import (_REFINE_MAX_POINTS, DEFAULT_CONFIG, QuadratureConfig,
                          geometric_refinement, integrate, integrate_batch)
 from .special_functions import _agm_ked, _elliptic_ked, erf_family, erfi, hyp2f2_11_52_3
@@ -120,7 +120,7 @@ class QubitState:
     xi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.chi) and math.isfinite(self.xi)):
+        if not (is_finite(self.chi, "state angle chi") and is_finite(self.xi, "state angle xi")):
             raise DomainError(f"state angles must be finite, got {self!r}")
 
 

@@ -162,7 +162,7 @@ def _cmd_verify(args) -> int:
         if c.note:
             line += f"  [{c.note}]"
         print(line, file=sys.stderr)
-    _emit(rep.as_dict())
+    _emit(asdict(rep))
     return 0 if rep.passed else 1
 
 

@@ -7,6 +7,7 @@ from numerical trouble.
 
 from __future__ import annotations
 
+import math
 import operator
 
 
@@ -65,3 +66,14 @@ def as_count(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
+def is_finite(value, what: str) -> bool:
+    """``math.isfinite(value)``, False for an int beyond the float range, and
+    :class:`DomainError` naming ``what`` for anything that is not a number."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+    except TypeError:
+        raise DomainError(f"{what} must be a real number, got {value!r}") from None

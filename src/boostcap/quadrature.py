@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, as_count
+from .errors import ConvergenceError, DomainError, as_count, is_finite
 
 # 15-point Kronrod abscissae (positive half) and weights, with the embedded
 # 7-point Gauss weights on the odd-indexed nodes.
@@ -110,8 +110,9 @@ class QuadratureConfig:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
-            raise DomainError("quadrature tolerances must be positive and finite")
+        for name in ("abs_tol", "rel_tol"):
+            if not (is_finite(getattr(self, name), name) and getattr(self, name) > 0):
+                raise DomainError("quadrature tolerances must be positive and finite")
         object.__setattr__(self, "max_subdivisions",
                            as_count(self.max_subdivisions, "max_subdivisions"))
         if self.max_subdivisions < 1:

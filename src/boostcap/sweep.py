@@ -23,7 +23,7 @@ from . import __version__
 from .capacity import capacity_report
 from .channel import (PacketFrame, PauliLambda, _integrals, lambda_batch, lambda_numeric,
                       lambda_probs)
-from .errors import BoostcapError, DomainError, as_count
+from .errors import BoostcapError, DomainError, as_count, is_finite
 from .quadrature import QuadratureConfig, SWEEP_CONFIG
 
 AXES = ("inv_gamma", "zeta")
@@ -65,7 +65,7 @@ class SweepSpec:
 
     def __post_init__(self):
         for name in ("start", "stop", "fixed"):
-            if not math.isfinite(getattr(self, name)):
+            if not is_finite(getattr(self, name), f"sweep {name}"):
                 raise DomainError(f"sweep {name} must be finite, got {getattr(self, name)!r}")
         if self.axis not in AXES:
             raise DomainError(f"axis must be one of {AXES}, got {self.axis!r}")

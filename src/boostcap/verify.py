@@ -52,18 +52,6 @@ class VerifyReport:
     wall_seconds: float
     checks: tuple[CheckResult, ...] = field(default_factory=tuple)
 
-    def as_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "passed": self.passed,
-            "wall_seconds": self.wall_seconds,
-            "checks": [
-                {"name": c.name, "residual": c.residual, "tolerance": c.tolerance,
-                 "passed": c.passed, "seconds": c.seconds, "note": c.note}
-                for c in self.checks
-            ],
-        }
-
 
 def _grids(level: str):
     if level == "full":

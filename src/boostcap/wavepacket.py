@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_finite
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, geometric_refinement,
                          integrate, integrate_semi_infinite)
 from .special_functions import erf_family
@@ -48,9 +48,9 @@ class PacketFrame:
     zeta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
+        if not (is_finite(self.gamma, "packet spread") and self.gamma > 0):
             raise DomainError(f"packet spread must be positive and finite, got {self.gamma!r}")
-        if not math.isfinite(self.zeta):
+        if not is_finite(self.zeta, "rapidity"):
             raise DomainError(f"rapidity must be finite, got {self.zeta!r}")
 
 

@@ -902,3 +902,7 @@ class TestStateValidation:
     def test_qubit_state_finite(self):
         with pytest.raises(DomainError):
             QubitState(math.nan, 0.0)
+        with pytest.raises(DomainError, match="chi"):
+            QubitState("a", 0.0)
+        with pytest.raises(DomainError, match="xi"):
+            QubitState(0.0, None)

@@ -29,6 +29,17 @@ class TestConfig:
         with pytest.raises(DomainError):
             QuadratureConfig(**kwargs)
 
+    @pytest.mark.parametrize("name, bad", [
+        ("abs_tol", None), ("abs_tol", "1e-9"), ("rel_tol", "1e-9"), ("rel_tol", 1j)])
+    def test_non_number_tolerances_are_domain_errors(self, name, bad):
+        with pytest.raises(DomainError, match=name):
+            QuadratureConfig(**{name: bad})
+
+    def test_accepted_tolerances_are_stored_unchanged(self):
+        cfg = QuadratureConfig(abs_tol=1, rel_tol=np.float64(1e-9))
+        assert type(cfg.abs_tol) is int and type(cfg.rel_tol) is np.float64
+        assert cfg == QuadratureConfig(1.0, 1e-9)
+
     def test_numpy_integer_budget_is_an_int(self):
         cfg = QuadratureConfig(max_subdivisions=np.int64(40))
         assert type(cfg.max_subdivisions) is int and cfg == QuadratureConfig(1e-12, 1e-10, 40)

@@ -11,7 +11,7 @@ import pytest
 from boostcap.errors import DomainError, RangeError
 from boostcap.quadrature import QuadratureConfig, integrate
 from boostcap.special_functions import (EllipticPair, ErfTriple, _elliptic_ked,
-                                        _erfcx_cf, _erf_taylor_dd, elliptic,
+                                        _erfcx_cf, elliptic,
                                         entropy, erf_family, erfi,
                                         hyp2f2_11_52_3)
 
@@ -58,11 +58,23 @@ class TestErfFamily:
             assert t.erfcx * math.exp(-x * x) == pytest.approx(t.erfc, rel=1e-13)
 
     def test_branch_overlap(self):
-        # series branch and continued-fraction branch agree around the switch
+        # libm branch and continued-fraction branch agree around the switch
         for x in np.linspace(1.8, 2.5, 15):
-            hi, lo = _erf_taylor_dd(float(x))
-            series_erfcx = math.exp(x * x) * ((1.0 - hi) - lo)
-            assert _erfcx_cf(float(x)) == pytest.approx(series_erfcx, rel=1e-13)
+            libm_erfcx = math.exp(x * x) * math.erfc(x)
+            assert _erfcx_cf(float(x)) == pytest.approx(libm_erfcx, rel=1e-13)
+
+    def test_libm_branch_against_mpmath(self):
+        for x in [k / 80 for k in range(-200, 201)]:
+            t = erf_family(x)
+            ref = mpmath.mpf(x)
+            erfc = mpmath.erfc(ref)
+            if x == 0:
+                assert t.erf == pytest.approx(0.0, abs=1e-15)
+            else:
+                assert t.erf == pytest.approx(float(mpmath.erf(ref)), rel=1e-15, abs=0)
+            assert t.erfc == pytest.approx(float(erfc), rel=1e-15, abs=0)
+            assert t.erfcx == pytest.approx(float(mpmath.exp(ref * ref) * erfc),
+                                            rel=1e-15, abs=0)
 
     def test_no_overflow_large_argument(self):
         for x in (10.0, 40.0):

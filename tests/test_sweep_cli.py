@@ -41,6 +41,12 @@ class TestSweepSpec:
         for bad in (2.5, 3.0, "3"):
             with pytest.raises(DomainError, match="steps"):
                 SweepSpec("inv_gamma", 0.1, 1.0, bad, 0.0)
+        with pytest.raises(DomainError, match="start"):
+            SweepSpec("inv_gamma", "0.1", 1.0, 3, 0.0)
+        with pytest.raises(DomainError, match="stop"):
+            SweepSpec("inv_gamma", 0.1, None, 3, 0.0)
+        with pytest.raises(DomainError, match="fixed"):
+            SweepSpec("zeta", -1.0, 1.0, 3, [1.0])
         # numpy integers are counts, and are stored as ints
         spec = SweepSpec("inv_gamma", 0.1, 1.0, np.int64(3), 0.0)
         assert type(spec.steps) is int and spec.grid() == [0.1, 0.55, 1.0]
@@ -376,3 +382,6 @@ class TestVerifyNegativeControl:
                      "--inject-lambda2-sign-flip"]) == 1
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is False
+        assert set(out) == {"level", "passed", "wall_seconds", "checks"}
+        for check in out["checks"]:
+            assert set(check) == {"name", "residual", "tolerance", "passed", "seconds", "note"}

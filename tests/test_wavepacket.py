@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -80,6 +81,10 @@ class TestKernel:
             PacketFrame(-1.0, 0.0)
         with pytest.raises(DomainError):
             PacketFrame(1.0, math.nan)
+        with pytest.raises(DomainError, match="packet spread"):
+            PacketFrame("1", 0.0)
+        with pytest.raises(DomainError, match="rapidity"):
+            PacketFrame(1.0, None)
 
 
 class TestNormalization:
@@ -96,6 +101,15 @@ class TestNormalization:
             for z in (-2.0, -1.0, 1.0, 2.0):
                 val = normalization(PacketFrame(g, z), "quadrature", cfg)
                 assert val == pytest.approx(ref, rel=1e-8)
+
+    def test_closed_form_against_mpmath(self):
+        # 1/g on both sides of the erf_family branch switch at 2.5
+        for g in (1e-3, 0.1, 0.39, 0.41, 1.0, 1e4):
+            with mpmath.workdps(40):
+                ref = mpmath.mpf(g)
+                exact = mpmath.pi ** 1.5 * ref * mpmath.exp(1 / ref**2) * mpmath.erfc(1 / ref)
+            assert normalization(PacketFrame(g, 0.0), "closed_form") == pytest.approx(
+                float(exact), rel=1e-15, abs=0)
 
     def test_monotone_in_spread(self, cfg):
         gammas = (0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
