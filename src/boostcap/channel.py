@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (BoostcapError, ConvergenceError, DomainError, IntegrityError,
                      NotAChannelError, RangeError, as_count, is_finite)
-from .quadrature import (_REFINE_MAX_POINTS, DEFAULT_CONFIG, QuadratureConfig,
+from .quadrature import (_REFINE_MAX_POINTS, DEFAULT_CONFIG, QuadratureConfig, _first_failure,
                          geometric_refinement, integrate, integrate_batch)
 from .special_functions import _agm_ked, _elliptic_ked, erf_family, erfi, hyp2f2_11_52_3
 from .wavepacket import (PacketFrame, frame_coefficients, frames_kernel_values, kernel_values,
@@ -101,7 +101,8 @@ class PauliLambda:
             raise NotAChannelError(f"non-finite eigenvalue in {vals!r}")
         if max(abs(v) for v in vals) > 1.0 + _SIMPLEX_TOL:
             raise NotAChannelError(f"eigenvalue outside [-1, 1]: {vals!r}")
-        lambda_probs(self)  # complete positivity
+        # complete positivity, and the probabilities that lambda_probs returns
+        object.__setattr__(self, "_probs", lambda_probs(vals))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.l1, self.l2, self.l3)
@@ -126,7 +127,9 @@ class QubitState:
 
 def lambda_probs(lam: PauliLambda | tuple) -> PauliProbs:
     """Pauli probabilities from eigenvalues: p0 = (1+l1+l2+l3)/4 etc."""
-    l1, l2, l3 = lam.as_tuple() if isinstance(lam, PauliLambda) else lam
+    if isinstance(lam, PauliLambda):
+        return lam._probs
+    l1, l2, l3 = lam
     return PauliProbs(
         0.25 * (1.0 + l1 + l2 + l3),
         0.25 * (1.0 + l1 - l2 - l3),
@@ -298,7 +301,7 @@ def _closed_rows(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _polar_integrals(frames: list[PacketFrame], cfg: QuadratureConfig, kinds: tuple,
-                     integrand, seeds) -> np.ndarray:
+                     integrand, seeds, entry) -> list:
     """Kernel-weighted polar integrals of every frame and kind, in one worklist.
 
     Problem ``p * len(kinds) + k`` is frame p's kind k over [0, theta_c),
@@ -308,13 +311,15 @@ def _polar_integrals(frames: list[PacketFrame], cfg: QuadratureConfig, kinds: tu
     the frame's :func:`norm_scale`, a power of two near 2 pi / N, so
     ``cfg.abs_tol`` applies to N-scaled integrals; it is divided out after,
     exactly.  Each frame gets the bits it gets alone; a one-frame call reads
-    :func:`kernel_values` and skips the per-node gather.  Returns each
-    frame's unscaled integrals, one row per frame.
+    :func:`kernel_values` and skips the per-node gather.  Returns, per
+    frame, ``entry(*integrals)`` of its unscaled integrals, from one pass.
 
-    A polar ConvergenceError names its frame and its kind, or the row
-    furthest from its tolerance, and carries that row's unscaled estimate
-    and bound as floats and the frame's index.  An error raised with a
-    cause (an azimuthal one, located already) passes through.
+    A frame whose polar integral does not converge gets, as its entry, the
+    ConvergenceError of its first kind to fail; it names the frame and the
+    kind, or the row furthest from its tolerance, and carries that row's
+    unscaled estimate and bound as floats and the frame's index.  An error
+    that the integrand raises (an azimuthal one, located already) ends the
+    pass and propagates, after a polar failure of an earlier round.
     """
     n = len(kinds)
     scales = np.array([norm_scale(f.gamma) for f in frames])
@@ -329,24 +334,31 @@ def _polar_integrals(frames: list[PacketFrame], cfg: QuadratureConfig, kinds: tu
             at = idx // n if n > 1 else idx
             return integrand(ts, idx, scales[at] * frames_kernel_values(ts, *table[:, at]))
 
-    try:
-        vals, _ = integrate_batch(weighted, [0.0] * (n * len(frames)),
-                                  [theta_c(f.zeta) for f in frames for _ in kinds], cfg,
-                                  [bps for f in frames for bps in [seeds(f)] * n])
-    except ConvergenceError as exc:
-        if exc.__cause__ is not None:   # the polar worklist's own error has none
-            raise
-        p, k = divmod(exc.problem, n)
-        est, err, where = exc.estimate, exc.error_bound, f"{kinds[k]} polar integral"
+    def located(p: int, k: int, est, err) -> ConvergenceError:
+        where = f"{kinds[k]} polar integral"
         if not isinstance(kinds[k], str):
             row = int(np.argmax(err / np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(est))))
             est, err, where = est[row], err[row], f"{kinds[k][row]} row of the polar integral"
-        raise _located(f"{where} at {frames[p]!r}", cfg, float(est / scales[p]),
-                       float(err / scales[p]), p) from exc
-    return vals.reshape(len(frames), -1) / scales[:, None]
+        return _located(f"{where} at {frames[p]!r}", cfg, float(est / scales[p]),
+                        float(err / scales[p]), p)
+
+    try:
+        outcomes = integrate_batch(weighted, [0.0] * (n * len(frames)),
+                                   [theta_c(f.zeta) for f in frames for _ in kinds], cfg,
+                                   [bps for f in frames for bps in [seeds(f)] * n], outcomes=True)
+    except ConvergenceError as exc:
+        if exc.__cause__ is not None:   # the polar worklist's own error has none
+            raise
+        raise located(*divmod(exc.problem, n), exc.estimate, exc.error_bound) from exc
+    vals = np.array([o[0] for o in outcomes]).reshape(len(frames), -1) / scales[:, None]
+    out = [entry(*row) for row in vals.tolist()]
+    for p in {q // n for q, o in enumerate(outcomes) if not o[2]}:
+        k = _first_failure(outcomes[p * n:(p + 1) * n])
+        out[p] = located(p, k, *outcomes[p * n + k][:2])
+    return out
 
 
-def _oracle_integrals(frames: list[PacketFrame], cfg: QuadratureConfig) -> list[dict]:
+def _oracle_integrals(frames: list[PacketFrame], cfg: QuadratureConfig) -> list:
     """Polar integrals of K times the adaptive profile of every kind, and of
     K alone (the quadrature N), for every frame: seven problems per frame
     of :func:`_polar_integrals`, seeded by :func:`theta_breakpoints`.
@@ -356,7 +368,8 @@ def _oracle_integrals(frames: list[PacketFrame], cfg: QuadratureConfig) -> list[
     the bits it gets alone, and N those of ``normalization(frame,
     "quadrature", cfg)``.  An azimuthal ConvergenceError is that of the
     lowest (kind, node) problem to fail in the earliest azimuthal round
-    that any fails, and carries the index of its node's frame.
+    that any fails, among the nodes of its block of the polar round, and
+    carries the index of its node's frame; it is raised, not an entry.
     """
     kinds = (*PROFILE_KINDS, "N")
 
@@ -371,9 +384,9 @@ def _oracle_integrals(frames: list[PacketFrame], cfg: QuadratureConfig) -> list[
             raise
         return vals
 
-    vals = _polar_integrals(frames, cfg, kinds, outer, theta_breakpoints)
-    return [dict(zip(PROFILE_KINDS, row[:-1]), norm=2.0 * math.pi * row[-1])
-            for row in vals.tolist()]
+    return _polar_integrals(
+        frames, cfg, kinds, outer, theta_breakpoints,
+        lambda *row: dict(zip(PROFILE_KINDS, row), norm=2.0 * math.pi * row[-1]))
 
 
 def _closed_seeds(frame: PacketFrame) -> list[float]:
@@ -393,16 +406,16 @@ def _closed_seeds(frame: PacketFrame) -> list[float]:
     return seeds
 
 
-def _closed_integrals(frames: list[PacketFrame], cfg: QuadratureConfig) -> list[dict]:
+def _closed_integrals(frames: list[PacketFrame], cfg: QuadratureConfig) -> list:
     """The fast path's frame integrals: one rows problem K (g2, g5, g6, 1)
     per frame of :func:`_polar_integrals`, seeded by :func:`_closed_seeds`,
     with the closed profiles' AGM on the whole array of nodes.
     """
-    vals = _polar_integrals(
+    return _polar_integrals(
         frames, cfg, (("g2_cos", "g5_sqrt", "g6_sqrt", "N"),),
-        lambda ts, idx, kv: kv * np.array([*_closed_rows(ts), np.ones_like(ts)]), _closed_seeds)
-    return [{"g2_cos": g2, "g5_sqrt": g5, "g6_sqrt": g6, "norm": 2.0 * math.pi * n_val}
-            for g2, g5, g6, n_val in vals.tolist()]
+        lambda ts, idx, kv: kv * np.array([*_closed_rows(ts), np.ones_like(ts)]), _closed_seeds,
+        lambda g2, g5, g6, n_val: {"g2_cos": g2, "g5_sqrt": g5, "g6_sqrt": g6,
+                                   "norm": 2.0 * math.pi * n_val})
 
 
 def _cutoff_error(frame: PacketFrame) -> RangeError | None:
@@ -434,9 +447,10 @@ def _frame_integrals(gamma: float, zeta: float, cfg: QuadratureConfig, method: s
     """
     integrals = _integrals(method)
     frame = PacketFrame(gamma, zeta)
-    if (exc := _cutoff_error(frame)) is not None:
-        raise exc
-    return integrals([frame], cfg)[0]
+    ints = _cutoff_error(frame) or integrals([frame], cfg)[0]
+    if isinstance(ints, BoostcapError):
+        raise ints
+    return ints
 
 
 def _pauli_lambda(frame: PacketFrame, ints: dict) -> PauliLambda:
@@ -476,11 +490,13 @@ def lambda_batch(frames: list[PacketFrame], cfg: QuadratureConfig,
     """Eigenvalues of many frames from one batched worklist of the method.
 
     Each frame's entry is bit-identical to ``lambda_numeric(frame, cfg,
-    method)``, or is the error that belongs to that frame: an integral that
-    did not converge (the batch is then run again without it, so each such
-    frame costs one more pass), eigenvalues that fail the channel checks,
-    or a cutoff angle that rounds to 0, found before any quadrature, as is
-    an unknown method's DomainError.  Any other error propagates.
+    method)``, or is the error that belongs to that frame, from one pass: a
+    polar integral that did not converge, eigenvalues that fail the channel
+    checks, or a cutoff angle that rounds to 0, found before any quadrature,
+    as is an unknown method's DomainError.  A ConvergenceError that the
+    pass raises (from inside the oracle's integrand, an azimuthal one)
+    becomes its frame's entry, and the batch runs again without that frame;
+    any other error propagates.
     """
     integrals = _integrals(method)
     out: list = [_cutoff_error(frame) for frame in frames]
@@ -494,6 +510,10 @@ def lambda_batch(frames: list[PacketFrame], cfg: QuadratureConfig,
             out[k] = exc
             continue
         for k, frame_ints in zip(live, ints):
+            if isinstance(frame_ints, ConvergenceError):
+                frame_ints.problem = k
+                out[k] = frame_ints
+                continue
             try:
                 out[k] = _pauli_lambda(frames[k], frame_ints)
             except IntegrityError as exc:

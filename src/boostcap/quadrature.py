@@ -7,10 +7,13 @@ return an array of shape (n,), or (k, n) for k integrals over one partition,
 so a single subdivision costs one vectorized call.  ``integrate_batch`` runs
 many independent problems in one worklist: each round bisects the worst
 interval of every unconverged problem, with one integrand call for all of
-them; ``integrate`` is its one-problem call.  Splitting order is a pure
-function of a problem's own estimates, which makes repeated runs
-bit-identical, and the GK15 rule reduces every interval on its own, so each
-problem of a batch gets the bits that it gets alone.
+them, or one per block of ``_ROUND_CAP`` intervals; ``integrate`` is its
+one-problem call.  Splitting order is a pure function of a problem's own
+estimates, which makes repeated runs bit-identical, and the GK15 rule
+reduces every interval on its own, so each problem of a batch gets the bits
+that it gets alone, blocked or not.  Every problem runs to its own end,
+with its own outcome, as QUADPACK's routines return ``ier`` per call
+(Piessens et al., *QUADPACK*, Springer 1983).
 
 The worklist runs each problem in one of two loops, with the same floating
 point operations, so a problem gets the same bits and the same error from
@@ -25,11 +28,7 @@ tolerance test and one bisection each, in a fixed number of array
 operations, which costs more per round and little per problem; at the first
 round that needs a rare decision it hands every live problem to its
 ``_refine``.  So the choice goes by the number of live problems:
-``_ARRAY_MIN_PROBLEMS``.  Measured on one scalar integrand, a round of 16
-problems costs 129 us in the generators and 178 us on arrays, one of 24
-about 153 us either way, and one of 64 costs 352 us against 209 us; on one
-4-row integrand the two loops meet at 16 to 20 problems, and a round of 32
-costs 534 us against 388 us.
+``_ARRAY_MIN_PROBLEMS``, measured where it is set.
 """
 
 from __future__ import annotations
@@ -94,6 +93,15 @@ _TINY = np.finfo(float).tiny
 # to 20.  Rows problems gain a tie to 7 % between 16 and 23, where scalar
 # problems would lose up to 38 %, so one threshold of 24 serves both.
 _ARRAY_MIN_PROBLEMS = 24
+
+# The most intervals that one integrand call and one GK15 reduction take; a
+# larger round runs in blocks.  Medians of 10 interleaved runs on the same VM
+# at caps of 128, 256, 512 and 1024 and none: the benchmark's five curves,
+# one batch each, take 100, 91, 84, 85 and 91 ms, and tracemalloc's peak over
+# the receding one is 2.5, 2.5, 2.8, 3.3 and 9.9 MB; its four oracle frames
+# take 102, 100, 96, 93 and 93 ms.  A 32-frame oracle sweep peaks at 7.5 MB
+# at 512 and 40 MB with no cap.
+_ROUND_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -180,7 +188,7 @@ def integrate(
     must meet the tolerance.  Raises :class:`ConvergenceError` (``problem``
     0) when the subdivision budget is exhausted before the tolerance is met.
     """
-    return _worklist(lambda x, idx: f(x), [a], [b], cfg, [breakpoints])[0]
+    return _checked(_worklist(lambda x, idx: f(x), [a], [b], cfg, [breakpoints]), cfg)[0][:2]
 
 
 def integrate_batch(
@@ -189,37 +197,61 @@ def integrate_batch(
     b: Sequence[float],
     cfg: QuadratureConfig,
     breakpoints: Sequence[Sequence[float] | None],
-) -> tuple[np.ndarray, np.ndarray]:
+    outcomes: bool = False,
+) -> tuple[np.ndarray, np.ndarray] | list[tuple]:
     """Integrate P independent problems, problem p over [a[p], b[p]].
 
     ``f(x, idx)`` receives the abscissae of every problem at once and, per
     abscissa, the index of its problem; it returns shape (n,), or (k, n)
     for k rows per problem.  Each problem keeps its own seeds
-    (``breakpoints[p]``), worklist, tolerance test and subdivision budget;
-    each round bisects the worst interval of every unconverged problem, and
-    all new intervals share one integrand call.  Every problem, scalar or
-    rows-valued, gets the bits that :func:`integrate` gives it alone.
-    Returns estimates and bounds as arrays of shape (P,), or (P, k); a
-    zero-width problem integrates to zeros.  The first problem to exhaust
-    its budget, the lowest index among those that exhaust it in the same
-    round, raises :class:`ConvergenceError` with its own estimate, bound and
-    index.  An error that ``f`` raises propagates unchanged.
+    (``breakpoints[p]``), worklist, tolerance test and subdivision budget,
+    and runs to its own end; each round bisects the worst interval of every
+    unconverged problem, all in one integrand call, or one per block of
+    ``_ROUND_CAP`` intervals.  Every problem, scalar or rows-valued, gets
+    the bits that :func:`integrate` gives it alone.  Returns estimates and
+    bounds as arrays of shape (P,), or (P, k); a zero-width problem
+    integrates to zeros.  The first problem to exhaust its budget, the
+    lowest index among those that exhaust it in the same round, raises
+    :class:`ConvergenceError` with its own estimate, bound and index; with
+    ``outcomes``, each problem's (estimate, bound, converged, round) is
+    returned instead, and none raises.  An error that ``f`` raises
+    propagates unchanged, unless a problem ran out of budget before it.
     """
-    pairs = _worklist(f, a, b, cfg, breakpoints)
-    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    done = _worklist(f, a, b, cfg, breakpoints)
+    if outcomes:
+        return done
+    _checked(done, cfg)
+    return np.array([o[0] for o in done]), np.array([o[1] for o in done])
+
+
+def _first_failure(outcomes) -> int | None:
+    """The lowest index among the problems that failed in the earliest
+    round, or None; a problem still running (None) is skipped."""
+    failed = [(o[3], p) for p, o in enumerate(outcomes) if o and not o[2]]
+    return min(failed)[1] if failed else None
+
+
+def _checked(outcomes, cfg):
+    if (p := _first_failure(outcomes)) is not None:
+        raise ConvergenceError(
+            f"quadrature did not converge within {cfg.max_subdivisions} subdivisions",
+            estimate=outcomes[p][0], error_bound=outcomes[p][1], problem=p) from None
+    return outcomes
 
 
 def _worklist(f, a, b, cfg, breakpoints):
     """The adaptive loop of :func:`integrate_batch`, and so of :func:`integrate`.
 
     Every round gathers the intervals that each unfinished problem asks for
-    (first its seed partition, then one bisection), evaluates them in one
-    call ``f(x, idx)`` and reduces them in one GK15 batch.  Problems, scalar
-    or rows, go on in the plain rounds of :func:`_array_rounds` while at
-    least ``_ARRAY_MIN_PROBLEMS`` of them are live; small batches, the last
-    few problems of a large one, and every problem live at a round that
-    needs a rare decision each go on in their own :func:`_refine`, which
-    makes it.  A problem out of budget raises here.
+    (first its seed partition, then one bisection) and evaluates them
+    (:func:`_evaluate`).  Problems, scalar or rows, go on in the plain
+    rounds of :func:`_array_rounds` while at least ``_ARRAY_MIN_PROBLEMS``
+    of them are live; small batches, the last few problems of a large one,
+    and every problem live at a round that needs a rare decision each go on
+    in their own :func:`_refine`, which makes it.  Returns each problem's
+    (estimate, bound, converged, round), round 0 being the seed round.  An
+    error that ``f`` raises propagates, after a problem that failed before
+    it (see :func:`_checked`).
     """
     results = [None] * len(a)
     live, empty = [], []
@@ -233,7 +265,7 @@ def _worklist(f, a, b, cfg, breakpoints):
         # zeros of the row shape that the integrand returns at their points
         shape = np.shape(f(np.array([a[p] for p in empty], dtype=float), np.array(empty)))[:-1]
         for p in empty:
-            results[p] = (np.zeros(shape), np.zeros(shape)) if shape else (0.0, 0.0)
+            results[p] = ((np.zeros(shape), np.zeros(shape)) if shape else (0.0, 0.0)) + (True, 0)
     if not live:
         return results
     partitions = {}                      # id(seeds) -> (seeds, (lo, hi), partition)
@@ -245,19 +277,11 @@ def _worklist(f, a, b, cfg, breakpoints):
         counts.append(len(los))
     vals, errs = _evaluate(f, np.array(live), np.array(counts), np.array(lows), np.array(highs))
     if len(live) >= _ARRAY_MIN_PROBLEMS:
-        rest = _array_rounds(f, cfg, live, counts, lows, highs, vals, errs, results)
+        rest, rnd = _array_rounds(f, cfg, live, counts, lows, highs, vals, errs, results)
     else:
         ends = list(itertools.accumulate(counts))
-        rest = [(p, lows[s:e], highs[s:e], vals[s:e], errs[s:e], None, None)
-                for p, s, e in zip(live, [0, *ends], ends)]
-
-    def finish(p, value):                # problem p's loop has returned
-        total, total_err, converged = value
-        if not converged:
-            raise ConvergenceError(
-                f"quadrature did not converge within {cfg.max_subdivisions} subdivisions",
-                estimate=total, error_bound=total_err, problem=p) from None
-        results[p] = total, total_err
+        rest, rnd = [(p, lows[s:e], highs[s:e], vals[s:e], errs[s:e], None, None)
+                     for p, s, e in zip(live, [0, *ends], ends)], 0
 
     pending = {}                         # problem -> (its loop, the intervals it asks for)
     for p, *state in rest:
@@ -265,21 +289,26 @@ def _worklist(f, a, b, cfg, breakpoints):
         try:
             pending[p] = loop, next(loop)
         except StopIteration as done:
-            finish(p, done.value)
+            results[p] = (*done.value, rnd)
     while pending:
         rounds = list(pending.items())
         lows, highs = [], []
         for _, (_, (los, his)) in rounds:
             lows += los
             highs += his
-        vals, errs = _evaluate(f, np.array([p for p, _ in rounds]), 2, np.array(lows),
-                               np.array(highs))
+        try:
+            vals, errs = _evaluate(f, np.array([p for p, _ in rounds]), 2, np.array(lows),
+                                   np.array(highs))
+        except Exception:
+            _checked(results, cfg)
+            raise
+        rnd += 1
         for k, (p, (loop, _)) in enumerate(rounds):
             try:
                 pending[p] = loop, loop.send((vals[2 * k:2 * k + 2], errs[2 * k:2 * k + 2]))
             except StopIteration as done:
                 del pending[p]
-                finish(p, done.value)
+                results[p] = (*done.value, rnd)
     return results
 
 
@@ -303,11 +332,17 @@ def _partition(lo, hi, bps, partitions):
 def _evaluate(f, problems, counts, lows, highs):
     """One round's values and errors: the intervals of ``problems[i]`` are
     the next ``counts[i]`` of (lows, highs), or the next ``counts`` if it is
-    one number.  ``_gk15`` and ``_rule`` are looked up in the module when
-    called."""
+    one number.  A round of more than ``_ROUND_CAP`` intervals is evaluated
+    and reduced in blocks of that many, which bounds its node arrays and
+    moves no bits: ``_rule`` reduces each interval on its own.  ``_gk15``
+    and ``_rule`` are looked up in the module when called."""
+    if len(lows) > _ROUND_CAP:
+        owners, c = problems.repeat(counts), _ROUND_CAP
+        blocks = [_evaluate(f, owners[s:s + c], 1, lows[s:s + c], highs[s:s + c])
+                  for s in range(0, len(lows), c)]
+        return tuple(np.concatenate(parts) for parts in zip(*blocks))
     idx = problems.repeat(15 * counts)
-    fx = _gk15(lambda x: f(x, idx), lows, highs)
-    return _rule(fx, lows, highs)
+    return _rule(_gk15(lambda x: f(x, idx), lows, highs), lows, highs)
 
 
 def _refine(cfg, lows, highs, vals, errs, totals=None, weight=None):
@@ -399,11 +434,12 @@ def _array_rounds(f, cfg, problems, counts, lows, highs, vals, errs, results):
     problem, in its floating point operations: the tolerance test, with
     ``math.fsum``, row by row, where ``_refine`` re-sums, then a bisection of
     each unconverged problem's worst interval (largest priority, ties to the
-    smaller lo), all in one integrand call.  Problems leave as they converge.
-    Once fewer than ``_ARRAY_MIN_PROBLEMS`` are live, or at the first round
-    that needs a rare decision (see the module docstring), returns each live
-    one's (problem, lows, highs, values, errors, totals, weight) for its
-    ``_refine`` to go on from and decide.
+    smaller lo), all in one integrand call.  Problems leave as they converge,
+    with their outcomes in ``results``.  Once fewer than
+    ``_ARRAY_MIN_PROBLEMS`` are live, or at the first round that needs a
+    rare decision (see the module docstring), returns each live one's
+    (problem, lows, highs, values, errors, totals, weight) for its
+    ``_refine`` to go on from and decide, and the number of rounds run.
     """
     rows = vals.ndim > 1
     k = vals.shape[1] if rows else 1
@@ -433,6 +469,7 @@ def _array_rounds(f, cfg, problems, counts, lows, highs, vals, errs, results):
             sums += map(math.fsum, iv[2:2 + 2 * k, s:s + c].tolist())
         tot[:, some] = np.array(sums).reshape(len(some), 2 * k).T
 
+    rnd = 0
     while len(n) >= _ARRAY_MIN_PROBLEMS:
         key = iv[-1]
         done = np.zeros(len(n), dtype=bool)
@@ -443,11 +480,11 @@ def _array_rounds(f, cfg, problems, counts, lows, highs, vals, errs, results):
         finished = np.flatnonzero(done)
         some = tot[:, finished]
         pairs = zip(some[:k].T, some[k:].T) if rows else zip(*some.tolist())
-        for p, pair in zip(pid[finished].tolist(), pairs):
-            results[p] = pair
+        for p, (total, total_err) in zip(pid[finished].tolist(), pairs):
+            results[p] = total, total_err, True, rnd
         live = np.flatnonzero(~done)
         if not live.size:
-            return []
+            return [], rnd
         # each live problem's worst interval: its first of largest priority,
         # as _refine's heap orders them
         at = np.flatnonzero(key == np.maximum.reduceat(key, starts).repeat(n))
@@ -468,6 +505,7 @@ def _array_rounds(f, cfg, problems, counts, lows, highs, vals, errs, results):
         halves = np.empty((len(iv), 2 * len(at)))
         halves[0, 0::2], halves[0, 1::2], halves[1, 0::2], halves[1, 1::2] = a, m, m, b
         v, e = _evaluate(f, pid[live], 2, halves[0], halves[1])
+        rnd += 1
         halves[2:2 + k], halves[2 + k:2 + 2 * k] = v.T, e.T
         new = halves[2:2 + 2 * k]
         tot = tot.take(live, 1) + ((new[:, 0::2] + new[:, 1::2]) - iv[2:2 + 2 * k].take(at, 1))
@@ -495,7 +533,7 @@ def _array_rounds(f, cfg, problems, counts, lows, highs, vals, errs, results):
         totals, weights = zip(tot[0].tolist(), tot[1].tolist()), [None] * len(n)
     return [(p, iv[0, s:s + c].tolist(), iv[1, s:s + c].tolist(), vals[s:s + c], errs[s:s + c],
              t, w) for p, s, c, t, w in
-            zip(pid.tolist(), starts.tolist(), n.tolist(), totals, weights)]
+            zip(pid.tolist(), starts.tolist(), n.tolist(), totals, weights)], rnd
 
 
 def integrate_semi_infinite(

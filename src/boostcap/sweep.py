@@ -48,10 +48,6 @@ COLUMNS = (
 
 _FLOAT_COLUMNS = frozenset(COLUMNS[1:14])
 
-# grid points per batched worklist; it bounds the heaps and node arrays
-# alive at once, and so the sweep's peak memory
-CHUNK_FRAMES = 32
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -141,42 +137,46 @@ def _row(index: int, inv_gamma: float, zeta: float, lam: PauliLambda | BoostcapE
 
 
 def _eval_chunk(points: list[tuple], cfg: QuadratureConfig, method: str) -> list[dict]:
-    """Rows of a few grid points from one batched worklist of the method.
+    """Rows of grid points (index, inv_gamma, zeta, frame) from one batched
+    worklist of the method.
 
-    ``lambda_batch`` returns each frame's own error as its entry.  The
-    per-point fallback is for errors that it raises instead, which belong
-    to no one frame of the batch: a point whose frame cannot be made (its
-    1/inv_gamma overflows, a DomainError), or an integrand that returns a
-    non-finite value.  Each point of the chunk then flags its own error.
-    An unknown method never gets here: :func:`run_sweep` refuses it first.
+    ``lambda_batch`` returns each frame's own error as its entry, from one
+    pass.  The per-point fallback is for an error that it raises instead,
+    which belongs to no one frame of the batch: an integrand that returns a
+    non-finite value.  Each point then flags its own error.  An unknown
+    method never gets here: :func:`run_sweep` refuses it first.
     """
     try:
-        lams = lambda_batch([PacketFrame(1.0 / ig, z) for _, ig, z in points], cfg, method)
+        lams = lambda_batch([frame for *_, frame in points], cfg, method)
     except BoostcapError:
         # not an error of one frame: each point on its own flags its own
-        return [_eval_point(i, ig, z, cfg, method) for i, ig, z in points]
-    return [_row(i, ig, z, lam) for (i, ig, z), lam in zip(points, lams)]
+        return [_eval_point(i, ig, z, cfg, method) for i, ig, z, _ in points]
+    return [_row(i, ig, z, lam) for (i, ig, z, _), lam in zip(points, lams)]
 
 
 def run_sweep(spec: SweepSpec, cfg: QuadratureConfig = SWEEP_CONFIG,
               method: str = "closed_profile", jobs: int | None = None) -> list[dict]:
     """Evaluate the sweep grid in this process; failed points are flagged rows.
 
-    Either method runs batched worklists of at most ``CHUNK_FRAMES`` grid
-    points, each row bit-identical to its point evaluated alone.  ``jobs``
-    is accepted and ignored: sweeps start no worker processes, and callers
-    that still pass it keep working.  An unknown method raises DomainError
-    before any quadrature.
+    The frames are made first: a point whose frame cannot be made (its
+    1/inv_gamma overflows, a DomainError) is its own flagged row.  Every
+    other point, on either method, runs in one batched worklist
+    (:func:`_eval_chunk`), whose rounds the quadrature evaluates in blocks
+    of bounded size, each row bit-identical to its point evaluated alone.
+    ``jobs`` is accepted and ignored: sweeps start no worker processes, and
+    callers that still pass it keep working.  An unknown method raises
+    DomainError before any quadrature.
     """
     _integrals(method)
-    points = []
+    rows, points = {}, []
     for i, x in enumerate(spec.grid()):
         inv_gamma, zeta = (x, spec.fixed) if spec.axis == "inv_gamma" else (spec.fixed, x)
-        points.append((i, inv_gamma, zeta))
-    rows = []
-    for start in range(0, len(points), CHUNK_FRAMES):
-        rows += _eval_chunk(points[start:start + CHUNK_FRAMES], cfg, method)
-    return rows
+        try:
+            points.append((i, inv_gamma, zeta, PacketFrame(1.0 / inv_gamma, zeta)))
+        except DomainError as exc:
+            rows[i] = _row(i, inv_gamma, zeta, exc)
+    rows.update((row["index"], row) for row in _eval_chunk(points, cfg, method))
+    return [rows[i] for i in range(spec.steps)]
 
 
 def _format_cell(column: str, value) -> str:

@@ -232,9 +232,9 @@ class TestLambdaNumeric:
         # one worklist with one rows problem per uncached frame, none when cached
         problems = []
 
-        def counting_batch(f, a, *args):
+        def counting_batch(f, a, *args, **kwargs):
             problems.append(len(a))
-            return integrate_batch(f, a, *args)
+            return integrate_batch(f, a, *args, **kwargs)
 
         integrate_batch = channel.integrate_batch
         monkeypatch.setattr(channel, "integrate_batch", counting_batch)
@@ -252,11 +252,11 @@ class TestLambdaNumeric:
         # GK15 calls at this frame, 487 with one azimuthal worklist per kind
         polar, azimuthal, polar_rounds, batches, depth = [], [], [], [], []
 
-        def counting_batch(f, a, *args):
+        def counting_batch(f, a, *args, **kwargs):
             (azimuthal if depth else polar).append(len(a))
             depth.append(1)
             try:
-                return integrate_batch(f, a, *args)
+                return integrate_batch(f, a, *args, **kwargs)
             finally:
                 depth.pop()
 

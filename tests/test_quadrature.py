@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from boostcap import quadrature
+from boostcap import channel, quadrature
 from boostcap.errors import ConvergenceError, DomainError
 from boostcap.quadrature import (QuadratureConfig, geometric_refinement,
                                  integrate, integrate_batch, integrate_semi_infinite)
@@ -461,7 +461,7 @@ class TestRowsRounds:
         cfg = QuadratureConfig(1e-12, 1e-10, 2000)
         monkeypatch.setattr(quadrature, "_ARRAY_MIN_PROBLEMS", len(counts) + 1)
         for v, e in ((vals, errs), (vals[:, 0].copy(), errs[:, 0].copy())):
-            rest = quadrature._array_rounds(None, cfg, list(range(len(counts))), counts, lows,
+            rest, _ = quadrature._array_rounds(None, cfg, list(range(len(counts))), counts, lows,
                                             lows, v, e, [None] * len(counts))
             ends = np.cumsum(counts)
             for (p, *_, totals, weight), s, t in zip(rest, ends - counts, ends):
@@ -477,6 +477,66 @@ class TestRowsRounds:
         outs = self.each_loop(monkeypatch, self.PROBLEMS, starved)
         assert outs[0] == outs[1] == outs[2]
         assert len(outs[0]) == 4
+
+
+class TestBlockedRounds:
+    # _evaluate runs a round of more than _ROUND_CAP intervals in blocks, an
+    # integrand call and a GK15 reduction each; _rule reduces every interval
+    # on its own, so every cap gives the same estimates and bounds, or the
+    # same ConvergenceError, on every loop
+    CAPS = (1, 7, quadrature._ROUND_CAP)
+    STARVED = QuadratureConfig(1e-14, 1e-13, 16)
+
+    @classmethod
+    def each_cap(cls, monkeypatch, run):
+        outs = []
+        for cap in cls.CAPS:
+            monkeypatch.setattr(quadrature, "_ROUND_CAP", cap)
+            outs.append(run())
+        return outs
+
+    @pytest.mark.parametrize("budget", [STARVED, QuadratureConfig(1e-12, 1e-10, 2000)],
+                             ids=["starved", "converged"])
+    def test_scalar_problems(self, monkeypatch, budget):
+        problems = TestScalarRounds.PROBLEMS
+        outs = self.each_cap(monkeypatch, lambda: TestScalarRounds.each_loop(
+            monkeypatch, [p[1] for p in problems], [p[2] for p in problems], budget,
+            [p[3] for p in problems]))
+        assert all(out == [outs[0][0]] * 3 for out in outs)
+        assert isinstance(outs[0][0][0], str) == (budget is self.STARVED)
+
+    @pytest.mark.parametrize("budget", [STARVED, QuadratureConfig(1e-12, 1e-10, 2000)],
+                             ids=["starved", "converged"])
+    def test_rows_problems(self, monkeypatch, budget):
+        outs = self.each_cap(monkeypatch, lambda: TestRowsRounds.each_loop(
+            monkeypatch, TestRowsRounds.PROBLEMS, budget))
+        assert all(out == [outs[0][0]] * 3 for out in outs)
+        assert isinstance(outs[0][0][0], str) == (budget is self.STARVED)
+
+    @pytest.mark.parametrize("frame, budget, where", [
+        ((1.0, -1.0), 2000, None),
+        ((0.5, 0.5), 2000, None),
+        ((1.0, -1.0), 1, " polar integral at "),
+        ((1.0, 0.5), 1, " azimuthal profile at "),
+        ((1.0, 0.5), 30, " azimuthal profile at "),
+    ], ids=["approaching", "receding", "polar-error", "seed-azimuthal-error",
+            "azimuthal-error"])
+    def test_nested_problems(self, monkeypatch, frame, budget, where):
+        # the oracle's azimuthal worklists run inside its polar integrand,
+        # both blocked at the cap
+        cfg = QuadratureConfig(1e-12, 1e-8, budget)
+
+        def run():
+            try:
+                ints = channel._frame_integrals.__wrapped__(*frame, cfg, "quadrature")
+            except ConvergenceError as exc:
+                return str(exc), exc.problem, exc.estimate.hex(), exc.error_bound.hex()
+            return sorted((kind, v.hex()) for kind, v in ints.items())
+
+        outs = self.each_cap(monkeypatch, run)
+        assert outs[0] == outs[1] == outs[2]
+        assert (where is None) == isinstance(outs[0], list)
+        assert where is None or where in outs[0][0]
 
 
 class TestSemiInfinite:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,30 +129,29 @@ def _bits(rows: list[dict]) -> list[tuple]:
 
 
 class TestBatchedSweep:
-    # grids longer than one chunk, so that a full and a short chunk both run
-    @pytest.mark.parametrize("spec, method, chunk", [
-        pytest.param(SweepSpec("inv_gamma", 0.001, 1.0, sweep.CHUNK_FRAMES + 8, -1.0),
-                     "closed_profile", sweep.CHUNK_FRAMES, id="spec0"),     # approaching
-        pytest.param(SweepSpec("inv_gamma", 0.001, 1.0, sweep.CHUNK_FRAMES + 8, 0.0),
-                     "closed_profile", sweep.CHUNK_FRAMES, id="spec1"),     # rest
-        pytest.param(SweepSpec("inv_gamma", 0.001, 1.0, sweep.CHUNK_FRAMES + 8, 1.0),
-                     "closed_profile", sweep.CHUNK_FRAMES, id="spec2"),     # receding
-        pytest.param(SweepSpec("zeta", -3.0, 2.0, sweep.CHUNK_FRAMES + 8, 0.5),
-                     "closed_profile", sweep.CHUNK_FRAMES, id="spec3"),
-        # the oracle, in chunks of two points
-        pytest.param(SweepSpec("zeta", -1.0, 0.5, 3, 1.0), "quadrature", 2, id="oracle"),
+    # every grid runs as one batch, its rounds in blocks of the round cap
+    @pytest.mark.parametrize("spec, method", [
+        pytest.param(SweepSpec("inv_gamma", 0.001, 1.0, 40, -1.0), "closed_profile",
+                     id="spec0"),                                           # approaching
+        pytest.param(SweepSpec("inv_gamma", 0.001, 1.0, 40, 0.0), "closed_profile",
+                     id="spec1"),                                           # rest
+        pytest.param(SweepSpec("inv_gamma", 0.001, 1.0, 40, 1.0), "closed_profile",
+                     id="spec2"),                                           # receding
+        pytest.param(SweepSpec("zeta", -3.0, 2.0, 40, 0.5), "closed_profile", id="spec3"),
+        pytest.param(SweepSpec("zeta", -1.0, 0.5, 3, 1.0), "quadrature", id="oracle"),
     ])
-    def test_rows_are_those_of_one_frame_evaluation(self, monkeypatch, spec, method, chunk):
+    def test_rows_are_those_of_one_frame_evaluation(self, monkeypatch, spec, method):
         # bitwise, which also guards the batch-wide stop of the elliptic AGM:
-        # a node's value must not depend on which other nodes share its call
-        monkeypatch.setattr(sweep, "CHUNK_FRAMES", chunk)
-        rows = run_sweep(spec, SWEEP_CONFIG, method)
+        # a node's value must not depend on which other nodes share its call,
+        # nor on the block of the round that it falls in
         channel._frame_integrals.cache_clear()
         alone = [{"status": "ok", **dict(zip(
             ("l1", "l2", "l3"),
             lambda_numeric(PacketFrame(1.0 / r["inv_gamma"], r["zeta"]), SWEEP_CONFIG,
-                           method).as_tuple()))} for r in rows]
-        assert _bits(rows) == _bits(alone)
+                           method).as_tuple()))} for r in run_sweep(spec, SWEEP_CONFIG, method)]
+        for cap in (1, 7, quadrature._ROUND_CAP):
+            monkeypatch.setattr(quadrature, "_ROUND_CAP", cap)
+            assert _bits(run_sweep(spec, SWEEP_CONFIG, method)) == _bits(alone), cap
 
     def test_failed_point_is_flagged_and_leaves_the_others_alone(self, monkeypatch):
         passes = []
@@ -169,9 +169,26 @@ class TestBatchedSweep:
         assert [r["status"] for r in rows] == ["ok"] * 4 + ["error:ConvergenceError"]
         assert rows[4]["zeta"] == 6.0
         assert all(rows[4].get(c) is None for c in COLUMNS[3:16])
-        # the failure costs one more pass over its chunk, without it
-        assert passes == [5, 4]
+        # the failure is its row's entry from the one pass
+        assert passes == [5]
         assert rows[:4] == run_sweep(SweepSpec("zeta", 2.0, 5.0, 4, 1.0), budget)
+
+    def test_a_curve_is_one_pass_whatever_fails(self, monkeypatch):
+        # a 200-point curve is one _closed_integrals call; the five frames
+        # that exhaust a budget of 35 are their rows' entries from that call
+        passes = []
+
+        def counting(frames, cfg):
+            passes.append(len(frames))
+            return closed_integrals(frames, cfg)
+
+        closed_integrals = channel._closed_integrals
+        monkeypatch.setattr(channel, "_closed_integrals", counting)
+        budget = QuadratureConfig(SWEEP_CONFIG.abs_tol, SWEEP_CONFIG.rel_tol, 35)
+        rows = run_sweep(SweepSpec("zeta", 2.0, 6.0, 200, 1.0), budget)
+        assert passes == [200]
+        assert {r["index"]: r["status"] for r in rows if r["status"] != "ok"} == \
+            dict.fromkeys(range(195, 200), "error:ConvergenceError")
 
     @pytest.mark.parametrize("method", ["closed_profile", "quadrature"])
     def test_zero_cutoff_angle_is_flagged(self, method):
@@ -190,12 +207,33 @@ class TestBatchedSweep:
             run_sweep(SweepSpec("zeta", -1.0, 0.5, 3, 1.0), SWEEP_CONFIG, "bogus")
 
     def test_point_without_a_frame_is_flagged(self):
-        # 1/inv_gamma overflows at the first point, so its chunk cannot be
-        # batched; each point of it is evaluated and flagged on its own
+        # 1/inv_gamma overflows at the first point, whose frame cannot be
+        # made: it is its own flagged row, and the others run as one batch
         rows = run_sweep(SweepSpec("inv_gamma", 1e-320, 0.5, 3, 0.0), SWEEP_CONFIG)
         assert [r["status"] for r in rows] == ["error:DomainError", "ok", "ok"]
         assert rows == [sweep._eval_point(r["index"], r["inv_gamma"], r["zeta"],
                                           SWEEP_CONFIG, "closed_profile") for r in rows]
+
+
+class TestSweepMemory:
+    # a sweep is one batch, so its largest round sets its peak: blocked at
+    # quadrature._ROUND_CAP intervals, the 200-point receding curve peaked
+    # at 2.8 MB under tracemalloc (9.9 MB unblocked), and a 32-point oracle
+    # sweep at 7.5 MB (40 MB unblocked), whose nested azimuthal worklists
+    # are blocked too
+    @pytest.mark.parametrize("spec, method, bound_mb", [
+        (SweepSpec("inv_gamma", 0.001, 1.0, 200, 1.0), "closed_profile", 4.5),
+        (SweepSpec("inv_gamma", 0.2, 1.0, 32, 0.5), "quadrature", 15.0),
+    ], ids=["receding-curve", "oracle-sweep"])
+    def test_peak_is_bounded_by_the_round_cap(self, spec, method, bound_mb):
+        tracemalloc.start()
+        try:
+            rows = run_sweep(spec, SWEEP_CONFIG, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r["status"] == "ok" for r in rows)
+        assert peak < bound_mb * 1e6
 
 
 class TestRendering:
@@ -242,10 +280,10 @@ class TestRendering:
 
     def test_fast_path_csv_bytes_on_every_worklist_loop(self, monkeypatch):
         # the pinned curves run 9 and 7 frames, below the array loop's
-        # threshold; a full chunk's rows problems run on it, with or without
+        # threshold; a long curve's rows problems run on it, with or without
         # the hand-over to the generators, and must render the same bytes
         spec = SweepSpec("inv_gamma", 0.001, 1.0, 200, 1.0)
-        assert sweep.CHUNK_FRAMES >= quadrature._ARRAY_MIN_PROBLEMS
+        assert spec.steps >= quadrature._ARRAY_MIN_PROBLEMS
         payloads = []
         for least in (1, quadrature._ARRAY_MIN_PROBLEMS, 10 ** 9):
             monkeypatch.setattr(quadrature, "_ARRAY_MIN_PROBLEMS", least)
